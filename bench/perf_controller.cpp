@@ -11,7 +11,6 @@
 #include "common/rng.hpp"
 #include "control/eigen.hpp"
 #include "control/mpc.hpp"
-#include "control/qp.hpp"
 #include "scenario/facility.hpp"
 #include "scenario/rig.hpp"
 
@@ -31,12 +30,14 @@ control::MpcProblem mpc_bench_problem(std::size_t n) {
   return p;
 }
 
-void run_mpc_step_bench(benchmark::State& state, bool use_dense_qp) {
+// Structured exact solve (the only path): O(n Lc) per search pass.
+// Observability is left detached here, so this also proves the disabled
+// ObsSink costs one branch per emit site (compare BM_MpcStepObserved).
+void BM_MpcStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   control::MpcConfig cfg;
   cfg.prediction_horizon = 8;
   cfg.control_horizon = 2;
-  cfg.use_dense_qp = use_dense_qp;
   control::MpcPowerController mpc(cfg);
   const control::MpcProblem p = mpc_bench_problem(n);
   control::MpcOutput out;
@@ -46,15 +47,10 @@ void run_mpc_step_bench(benchmark::State& state, bool use_dense_qp) {
   }
   state.SetLabel(std::to_string(n) + " cores");
 }
-
-// Structured operator path (the default): O(n Lc) per solver iteration.
-// Observability is left detached here, so this also proves the disabled
-// ObsSink costs one branch per emit site (compare BM_MpcStepObserved).
-void BM_MpcStep(benchmark::State& state) { run_mpc_step_bench(state, false); }
 BENCHMARK(BM_MpcStep)->Arg(8)->Arg(64)->Arg(128)->Arg(256);
 
-// Same solve with a live ObsSink attached: counters + exit-residual and
-// wall-time histograms per step. The delta versus BM_MpcStep is the
+// Same solve with a live ObsSink attached: counters, the KKT-residual
+// pass and wall-time histograms per step. The delta versus BM_MpcStep is the
 // enabled-mode observability overhead recorded in DESIGN.md.
 void BM_MpcStepObserved(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -76,37 +72,10 @@ void BM_MpcStepObserved(benchmark::State& state) {
   if (solves > 0) {
     state.counters["qp_iterations_per_solve"] = benchmark::Counter(
         static_cast<double>(snap.counter("mpc.qp.iterations")) / solves);
-    state.counters["qp_restarts_per_solve"] = benchmark::Counter(
-        static_cast<double>(snap.counter("mpc.qp.restarts")) / solves);
   }
   state.SetLabel(std::to_string(n) + " cores, obs on");
 }
 BENCHMARK(BM_MpcStepObserved)->Arg(8)->Arg(256);
-
-// Dense reference path: materialized (n Lc)^2 Hessian + power iteration.
-void BM_MpcStepDense(benchmark::State& state) {
-  run_mpc_step_bench(state, true);
-}
-BENCHMARK(BM_MpcStepDense)->Arg(8)->Arg(64)->Arg(256);
-
-void BM_BoxQpSolve(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  control::Matrix a(n, n);
-  for (std::size_t r = 0; r < n; ++r)
-    for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.uniform(-1.0, 1.0);
-  control::BoxQp qp;
-  qp.hessian = a.transposed() * a;
-  for (std::size_t i = 0; i < n; ++i) qp.hessian(i, i) += 1.0;
-  qp.gradient.assign(n, -1.0);
-  qp.lower.assign(n, 0.0);
-  qp.upper.assign(n, 1.0);
-  const control::Vector x0(n, 0.5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(control::solve_box_qp(qp, x0));
-  }
-}
-BENCHMARK(BM_BoxQpSolve)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_Eigenvalues(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -123,6 +92,9 @@ BENCHMARK(BM_Eigenvalues)->Arg(8)->Arg(32)->Arg(64);
 // Facility throughput: whole short sprints across 1/4/16 racks, run by the
 // facility thread pool (one worker per hardware thread). Construction is
 // included — the facility cannot be re-run — but the simulation dominates.
+// The facility benches time wall clock (UseRealTime): the benchmark thread
+// mostly waits at the shard barrier, so its CPU time would overstate
+// throughput by up to the shard count.
 void BM_FacilityRun(benchmark::State& state) {
   const auto racks = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
@@ -141,7 +113,7 @@ void BM_FacilityRun(benchmark::State& state) {
   state.SetLabel(std::to_string(racks) + " racks x 60 s");
 }
 BENCHMARK(BM_FacilityRun)->Arg(1)->Arg(4)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // Same workload forced sequential, for the scaling comparison.
 void BM_FacilityRunSequential(benchmark::State& state) {
@@ -163,14 +135,14 @@ void BM_FacilityRunSequential(benchmark::State& state) {
   state.SetLabel(std::to_string(racks) + " racks x 60 s");
 }
 BENCHMARK(BM_FacilityRunSequential)->Arg(1)->Arg(4)->Arg(16)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // Fleet-scale sharded scaling: aggregate simulated-tick throughput over
 // many small rigs (2 servers / 16 cores each, 30 simulated seconds at
 // 1 s ticks, one allocator epoch every 10 s). Arg0 = rigs, Arg1 = worker
 // shards (0 = one per hardware thread). Construction happens outside the
 // timed region — items/s is pure simulation throughput, in aggregate
-// rig-ticks per second. Compare threads=1 vs threads=0 rows for the
+// rig-ticks per wall-clock second. Compare threads=1 vs threads=0 rows for the
 // parallel speedup; on a single-core host they coincide.
 void BM_FacilityScaling(benchmark::State& state) {
   const auto rigs = static_cast<std::size_t>(state.range(0));
@@ -214,6 +186,7 @@ BENCHMARK(BM_FacilityScaling)
     ->Args({1000, 1})
     ->Args({1000, 0})
     ->Args({10000, 0})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_RigTick(benchmark::State& state) {

@@ -254,17 +254,16 @@ int main(int argc, char** argv) {
   std::cout << "\nsolver health (MPC over the run):\n";
   for (std::size_t r = 0; r < reports.size(); ++r) {
     const obs::MetricsSnapshot& m = reports[r].metrics;
-    const std::uint64_t solves = m.counter("mpc.solves.structured") +
-                                 m.counter("mpc.solves.dense");
-    const std::uint64_t iters = m.counter("mpc.qp.iterations");
+    const std::uint64_t solves = m.counter("mpc.solves.structured");
+    const std::uint64_t passes = m.counter("mpc.qp.iterations");
     const auto it = m.histograms.find("mpc.step_us");
     std::cout << "  rack " << r << ": " << solves << " solves, "
-              << format_fixed(solves > 0 ? static_cast<double>(iters) /
+              << format_fixed(solves > 0 ? static_cast<double>(passes) /
                                                static_cast<double>(solves)
                                          : 0.0,
                               1)
-              << " iters/solve, " << m.counter("mpc.qp.restarts")
-              << " restarts";
+              << " passes/solve, " << m.counter("mpc.qp.not_converged")
+              << " not converged";
     if (it != m.histograms.end() && it->second.count > 0) {
       std::cout << ", step p95 " << format_fixed(it->second.p95, 1) << " us";
     }

@@ -152,38 +152,29 @@ def condense(raw: dict, build_type: str) -> dict:
 
     headline = {}
     structured = benchmarks.get("BM_MpcStep/256")
-    dense = benchmarks.get("BM_MpcStepDense/256")
     observed = benchmarks.get("BM_MpcStepObserved/256")
     if structured:
         headline["mpc_step_256_structured_ns"] = structured["real_time_ns"]
-    if dense:
-        headline["mpc_step_256_dense_ns"] = dense["real_time_ns"]
-    if structured and dense and structured["real_time_ns"] > 0:
-        headline["mpc_step_256_speedup"] = round(
-            dense["real_time_ns"] / structured["real_time_ns"], 2)
     if observed:
         headline["mpc_step_256_observed_ns"] = observed["real_time_ns"]
         if structured and structured["real_time_ns"] > 0:
             headline["mpc_obs_overhead_pct"] = round(
                 100.0 * (observed["real_time_ns"] / structured["real_time_ns"]
                          - 1.0), 2)
-        for counter, key in (("qp_iterations_per_solve",
-                              "mpc_step_256_qp_iterations"),
-                             ("qp_restarts_per_solve",
-                              "mpc_step_256_qp_restarts")):
-            value = observed.get("counters", {}).get(counter)
-            if value is not None:
-                headline[key] = round(value, 2)
+        value = observed.get("counters", {}).get("qp_iterations_per_solve")
+        if value is not None:
+            headline["mpc_step_256_qp_iterations"] = round(value, 2)
 
     rig_tick = benchmarks.get("BM_RigTick")
     if rig_tick:
         headline["rig_tick_ns"] = round(rig_tick["real_time_ns"], 1)
 
-    # Fleet scaling: aggregate simulated-tick throughput (items/s) at each
+    # Fleet scaling: aggregate simulated-tick throughput (items/s over wall
+    # time: the rows use UseRealTime, hence the /real_time suffix) at each
     # fleet size, and the parallel-vs-sequential speedup where both rows ran.
     for rigs in (100, 1000, 10000):
-        par = benchmarks.get(f"BM_FacilityScaling/{rigs}/0")
-        seq = benchmarks.get(f"BM_FacilityScaling/{rigs}/1")
+        par = benchmarks.get(f"BM_FacilityScaling/{rigs}/0/real_time")
+        seq = benchmarks.get(f"BM_FacilityScaling/{rigs}/1/real_time")
         best = par or seq
         if best and "items_per_second" in best:
             headline[f"facility_ticks_per_second_{rigs}"] = round(

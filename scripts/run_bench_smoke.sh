@@ -33,9 +33,11 @@ fi
 
 OUT=$(mktemp)
 trap 'rm -f "$OUT"' EXIT
-# Sequential (threads=1) and sharded (threads=0) rows for a small fleet.
+# Sequential (threads=1) and sharded (threads=0) rows for a small fleet,
+# timed on the wall clock (the rows use UseRealTime, which appends
+# /real_time to their names).
 "$BUILD_DIR/bench/perf_controller" \
-  --benchmark_filter="BM_FacilityScaling/$RIGS/[01]\$" \
+  --benchmark_filter="BM_FacilityScaling/$RIGS/[01]/real_time\$" \
   --benchmark_out="$OUT" --benchmark_out_format=json \
   --benchmark_min_time=0.2 >/dev/null
 
@@ -48,8 +50,8 @@ for entry in raw.get("benchmarks", []):
     if entry.get("run_type") != "iteration":
         continue
     rows[entry["name"]] = entry["items_per_second"]
-seq = next((v for k, v in rows.items() if k.endswith("/1")), None)
-par = next((v for k, v in rows.items() if k.endswith("/0")), None)
+seq = next((v for k, v in rows.items() if k.endswith("/1/real_time")), None)
+par = next((v for k, v in rows.items() if k.endswith("/0/real_time")), None)
 if seq is None or par is None:
     sys.exit(f"missing benchmark rows, got: {sorted(rows)}")
 speedup = par / seq

@@ -8,88 +8,16 @@
 
 namespace sprintcon::control {
 
-namespace {
-
-void check_problem(const MpcProblem& p) {
-  const std::size_t n = p.gains_w_per_f.size();
-  SPRINTCON_EXPECTS(n > 0, "MPC problem needs at least one actuated core");
-  SPRINTCON_EXPECTS(p.freq_current.size() == n, "freq_current size mismatch");
-  SPRINTCON_EXPECTS(p.freq_min.size() == n, "freq_min size mismatch");
-  SPRINTCON_EXPECTS(p.freq_max.size() == n, "freq_max size mismatch");
-  SPRINTCON_EXPECTS(p.penalty_weights.size() == n,
-                    "penalty_weights size mismatch");
-  for (std::size_t i = 0; i < n; ++i) {
-    SPRINTCON_EXPECTS(p.freq_min[i] <= p.freq_max[i], "frequency bounds crossed");
-    SPRINTCON_EXPECTS(p.penalty_weights[i] >= 0.0, "penalty must be >= 0");
-    SPRINTCON_EXPECTS(p.gains_w_per_f[i] >= 0.0,
-                      "power gain must be non-negative");
-  }
-}
-
-/// Number of prediction steps mapped to control block b and the sum of
-/// (reference - base) over those steps. All blocks but the last cover one
-/// step; the last covers the rest of the prediction horizon.
-struct BlockTracking {
-  double steps = 0.0;
-  double ref_sum = 0.0;
-};
-
-BlockTracking block_tracking(const Vector& reference, double pred_base,
-                             std::size_t b, std::size_t lc, std::size_t lp) {
-  const std::size_t first_step = b;  // 0-based step index s-1
-  const std::size_t last_step = (b + 1 == lc) ? lp - 1 : b;
-  BlockTracking t;
-  for (std::size_t s = first_step; s <= last_step; ++s) {
-    t.steps += 1.0;
-    t.ref_sum += reference[s] - pred_base;
-  }
-  return t;
-}
-
-/// Tighten the first block's bounds to the DVFS slew limit (the only block
-/// that is actuated). Bounds may cross if the current frequency was set
-/// outside the box (e.g. after the actuated set changed); fall back to the
-/// hard bounds there.
-void apply_slew_limit(const MpcProblem& problem, double max_slew,
-                      Vector& lower, Vector& upper) {
-  if (max_slew <= 0.0) return;
-  for (std::size_t i = 0; i < problem.freq_current.size(); ++i) {
-    lower[i] = std::max(lower[i], problem.freq_current[i] - max_slew);
-    upper[i] = std::min(upper[i], problem.freq_current[i] + max_slew);
-    if (lower[i] > upper[i]) {
-      lower[i] = problem.freq_min[i];
-      upper[i] = problem.freq_max[i];
-    }
-  }
-}
-
-}  // namespace
-
 MpcPowerController::MpcPowerController(const MpcConfig& config)
-    : config_(config) {
+    : config_(config),
+      decay_(std::exp(-config.control_period_s /
+                      config.reference_time_constant_s)) {
   SPRINTCON_EXPECTS(config.control_horizon >= 1, "control horizon >= 1");
   SPRINTCON_EXPECTS(config.prediction_horizon >= config.control_horizon,
                     "prediction horizon must cover the control horizon");
   SPRINTCON_EXPECTS(config.control_period_s > 0.0, "control period > 0");
   SPRINTCON_EXPECTS(config.reference_time_constant_s > 0.0, "tau_r > 0");
   SPRINTCON_EXPECTS(config.tracking_weight > 0.0, "tracking weight > 0");
-}
-
-double MpcPowerController::build_reference(const MpcProblem& problem) {
-  // Reference trajectory (Eq. 7), evaluated at x = 1..Lp.
-  // r(x) = P - e^{-(T/tau) x} (P - p_fb)
-  const std::size_t lp = config_.prediction_horizon;
-  const double decay =
-      std::exp(-config_.control_period_s / config_.reference_time_constant_s);
-  reference_.resize(lp);
-  double e = problem.power_target_w - problem.power_feedback_w;
-  for (std::size_t s = 0; s < lp; ++s) {
-    e *= decay;
-    reference_[s] = problem.power_target_w - e;
-  }
-  // Constant part of the power prediction: p_fb(t) - K . F(t).
-  return problem.power_feedback_w -
-         dot(problem.gains_w_per_f, problem.freq_current);
 }
 
 MpcOutput MpcPowerController::step(const MpcProblem& problem) {
@@ -104,143 +32,138 @@ void MpcPowerController::set_obs(obs::ObsSink* sink) {
   if (sink == nullptr) return;
   auto& m = sink->metrics();
   met_.solves_structured = &m.counter("mpc.solves.structured");
-  met_.solves_dense = &m.counter("mpc.solves.dense");
   met_.qp_iterations = &m.counter("mpc.qp.iterations");
-  met_.qp_restarts = &m.counter("mpc.qp.restarts");
   met_.qp_not_converged = &m.counter("mpc.qp.not_converged");
   met_.exit_residual = &m.histogram("mpc.qp.exit_residual");
   met_.step_us = &m.histogram("mpc.step_us");
   met_.step_us_window = &m.windowed("mpc.step_us.window");
 }
 
-void MpcPowerController::step(const MpcProblem& problem, MpcOutput& out) {
-  check_problem(problem);
-  const obs::ScopedTimer timer(obs_ != nullptr ? met_.step_us : nullptr,
-                               obs_ != nullptr ? met_.step_us_window : nullptr);
-  const obs::ScopedSpan span(obs_ != nullptr ? obs_->trace() : nullptr,
-                             "mpc_solve", "decision", "horizon",
-                             static_cast<double>(config_.prediction_horizon));
-  if (config_.use_dense_qp) {
-    step_dense(problem, out);
-  } else {
-    step_structured(problem, out);
-  }
-  if (obs_ != nullptr) {
-    (config_.use_dense_qp ? met_.solves_dense : met_.solves_structured)->add();
-    met_.qp_iterations->add(static_cast<std::uint64_t>(out.qp.iterations));
-    met_.qp_restarts->add(static_cast<std::uint64_t>(out.qp.restarts));
-    if (!out.qp.converged) met_.qp_not_converged->add();
-    met_.exit_residual->record(out.qp.residual);
-  }
-}
-
-void MpcPowerController::step_structured(const MpcProblem& problem,
-                                         MpcOutput& out) {
-  const std::size_t n = problem.gains_w_per_f.size();
+double MpcPowerController::assemble(const MpcProblem& p) {
+  const std::size_t n = p.gains_w_per_f.size();
+  SPRINTCON_EXPECTS(n > 0, "MPC problem needs at least one actuated core");
+  SPRINTCON_EXPECTS(p.freq_current.size() == n, "freq_current size mismatch");
+  SPRINTCON_EXPECTS(p.freq_min.size() == n, "freq_min size mismatch");
+  SPRINTCON_EXPECTS(p.freq_max.size() == n, "freq_max size mismatch");
+  SPRINTCON_EXPECTS(p.penalty_weights.size() == n,
+                    "penalty_weights size mismatch");
   const std::size_t lc = config_.control_horizon;
   const std::size_t lp = config_.prediction_horizon;
   const std::size_t dim = n * lc;
-  const double pred_base = build_reference(problem);
-
-  // Assemble the operator form of the Hessian (see structured_qp.hpp) in
-  // controller-owned buffers; copy-assignment reuses their capacity.
-  sqp_.gains = problem.gains_w_per_f;
-  sqp_.penalty = problem.penalty_weights;
+  sqp_.gains.resize(n);
+  sqp_.penalty.resize(n);
   sqp_.rank_weight.resize(lc);
   sqp_.gradient.resize(dim);
   sqp_.lower.resize(dim);
   sqp_.upper.resize(dim);
 
+  // One pass checks the problem and copies the block-shared data. With
+  // the constructor's checks (c_b = Q * steps > 0) and the slew limit
+  // (which never crosses a box) this is everything
+  // StructuredBlockQp::validate() would check.
+  double kf = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double k = p.gains_w_per_f[i];
+    const double fmin = p.freq_min[i];
+    const double fmax = p.freq_max[i];
+    SPRINTCON_EXPECTS(fmin <= fmax, "frequency bounds crossed");
+    SPRINTCON_EXPECTS(std::isfinite(fmin) && std::isfinite(fmax),
+                      "frequency bounds must be finite");
+    SPRINTCON_EXPECTS(p.penalty_weights[i] >= 0.0, "penalty must be >= 0");
+    SPRINTCON_EXPECTS(k >= 0.0, "power gain must be non-negative");
+    sqp_.gains[i] = k;
+    sqp_.penalty[i] = p.penalty_weights[i];
+    kf += k * p.freq_current[i];
+  }
+  // Constant part of the power prediction: p_fb(t) - K . F(t).
+  const double pred_base = p.power_feedback_w - kf;
+
+  // Reference trajectory (Eq. 7), r(x) = P - e^{-(T/tau) x} (P - p_fb) at
+  // x = 1..Lp, folded straight into the per-block tracking sums: block b
+  // covers prediction step b, the last block the rest of the horizon.
   const double q = config_.tracking_weight;
+  double e = p.power_target_w - p.power_feedback_w;
+  std::size_t step = 0;
   for (std::size_t b = 0; b < lc; ++b) {
-    const BlockTracking t = block_tracking(reference_, pred_base, b, lc, lp);
-    sqp_.rank_weight[b] = q * t.steps;
+    const std::size_t last = (b + 1 == lc) ? lp - 1 : b;
+    double steps = 0.0;
+    double ref_sum = 0.0;
+    for (; step <= last; ++step) {
+      e *= decay_;
+      steps += 1.0;
+      ref_sum += (p.power_target_w - e) - pred_base;
+    }
+    sqp_.rank_weight[b] = q * steps;
     const std::size_t off = b * n;
+    double* gradient = sqp_.gradient.data() + off;
     for (std::size_t i = 0; i < n; ++i) {
-      sqp_.gradient[off + i] =
-          -q * problem.gains_w_per_f[i] * t.ref_sum -
-          problem.penalty_weights[i] * problem.freq_max[i];
-      sqp_.lower[off + i] = problem.freq_min[i];
-      sqp_.upper[off + i] = problem.freq_max[i];
+      gradient[i] = -q * p.gains_w_per_f[i] * ref_sum -
+                    p.penalty_weights[i] * p.freq_max[i];
+    }
+    std::copy(p.freq_min.begin(), p.freq_min.end(), sqp_.lower.begin() + off);
+    std::copy(p.freq_max.begin(), p.freq_max.end(), sqp_.upper.begin() + off);
+  }
+
+  // Tighten the first block's bounds to the DVFS slew limit (the only block
+  // that is actuated). Bounds may cross if the current frequency was set
+  // outside the box (e.g. after the actuated set changed); fall back to the
+  // hard bounds there.
+  const double max_slew = config_.max_slew_per_period;
+  if (max_slew > 0.0) {
+    for (std::size_t i = 0; i < n; ++i) {
+      double& lower = sqp_.lower[i];
+      double& upper = sqp_.upper[i];
+      lower = std::max(lower, p.freq_current[i] - max_slew);
+      upper = std::min(upper, p.freq_current[i] + max_slew);
+      if (lower > upper) {
+        lower = p.freq_min[i];
+        upper = p.freq_max[i];
+      }
     }
   }
-  apply_slew_limit(problem, config_.max_slew_per_period, sqp_.lower,
-                   sqp_.upper);
-
-  // Warm start from the previous solution when the shape is unchanged.
-  if (warm_start_.size() == dim) {
-    x0_ = warm_start_;
-  } else {
-    x0_.resize(dim);
-    for (std::size_t b = 0; b < lc; ++b)
-      std::copy(problem.freq_current.begin(), problem.freq_current.end(),
-                x0_.begin() + static_cast<std::ptrdiff_t>(b * n));
-  }
-
-  solve_structured_qp(sqp_, x0_, config_.qp, sqp_scratch_, out.qp);
-  warm_start_ = out.qp.x;
-
-  out.freq_next.assign(out.qp.x.begin(),
-                       out.qp.x.begin() + static_cast<std::ptrdiff_t>(n));
-  out.predicted_power_w =
-      pred_base + dot(problem.gains_w_per_f, out.freq_next);
+  return pred_base;
 }
 
-void MpcPowerController::step_dense(const MpcProblem& problem, MpcOutput& out) {
+void MpcPowerController::step(const MpcProblem& problem, MpcOutput& out) {
   const std::size_t n = problem.gains_w_per_f.size();
-  const std::size_t lc = config_.control_horizon;
-  const std::size_t lp = config_.prediction_horizon;
-  const std::size_t dim = n * lc;
-  const double pred_base = build_reference(problem);
+  {
+    const obs::ScopedTimer timer(
+        obs_ != nullptr ? met_.step_us : nullptr,
+        obs_ != nullptr ? met_.step_us_window : nullptr);
+    const obs::ScopedSpan span(obs_ != nullptr ? obs_->trace() : nullptr,
+                               "mpc_solve", "decision", "horizon",
+                               static_cast<double>(config_.prediction_horizon));
+    const double pred_base = assemble(problem);
 
-  // Decision variables: z = [F(t+1); ...; F(t+Lc)] stacked. Predicted power
-  // at step s uses block min(s, Lc).
-  BoxQp qp;
-  qp.hessian = Matrix(dim, dim, 0.0);
-  qp.gradient.assign(dim, 0.0);
-  qp.lower.assign(dim, 0.0);
-  qp.upper.assign(dim, 0.0);
-
-  const double q = config_.tracking_weight;
-  for (std::size_t b = 0; b < lc; ++b) {
-    const BlockTracking t = block_tracking(reference_, pred_base, b, lc, lp);
-    const std::size_t off = b * n;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double ki = problem.gains_w_per_f[i];
-      // Tracking term: q * steps * K^T K block.
-      for (std::size_t j = 0; j < n; ++j) {
-        qp.hessian(off + i, off + j) +=
-            q * t.steps * ki * problem.gains_w_per_f[j];
-      }
-      // Control penalty: R on (z_b - F_max).
-      qp.hessian(off + i, off + i) += problem.penalty_weights[i];
-      qp.gradient[off + i] = -q * ki * t.ref_sum -
-                             problem.penalty_weights[i] * problem.freq_max[i];
-      qp.lower[off + i] = problem.freq_min[i];
-      qp.upper[off + i] = problem.freq_max[i];
+    // Warm start from the previous solution when the shape is unchanged.
+    const std::size_t dim = sqp_.dim();
+    const Vector* x0 = &warm_start_;
+    if (warm_start_.size() != dim) {
+      x0_.resize(dim);
+      for (std::size_t b = 0; b < config_.control_horizon; ++b)
+        std::copy(problem.freq_current.begin(), problem.freq_current.end(),
+                  x0_.begin() + static_cast<std::ptrdiff_t>(b * n));
+      x0 = &x0_;
     }
+    solve_structured_qp_unchecked(sqp_, *x0, sqp_scratch_, out.qp);
+    warm_start_ = out.qp.x;
+
+    out.freq_next.assign(out.qp.x.begin(),
+                         out.qp.x.begin() + static_cast<std::ptrdiff_t>(n));
+    // A diagnostic, so its sum may use independent lanes.
+    double kf[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t i = 0; i < n; ++i)
+      kf[i % 4] += problem.gains_w_per_f[i] * out.freq_next[i];
+    out.predicted_power_w = pred_base + ((kf[0] + kf[1]) + (kf[2] + kf[3]));
   }
-  apply_slew_limit(problem, config_.max_slew_per_period, qp.lower, qp.upper);
-
-  // Warm start from the previous solution when the shape is unchanged.
-  Vector x0;
-  if (warm_start_.size() == dim) {
-    x0 = warm_start_;
-  } else {
-    x0.reserve(dim);
-    for (std::size_t b = 0; b < lc; ++b)
-      x0.insert(x0.end(), problem.freq_current.begin(),
-                problem.freq_current.end());
+  if (obs_ != nullptr) {
+    // Bookkeeping outside the timed scope: the KKT residual pass is an
+    // observability cost, not part of the control step.
+    met_.solves_structured->add();
+    met_.qp_iterations->add(static_cast<std::uint64_t>(out.qp.iterations));
+    if (!out.qp.converged) met_.qp_not_converged->add();
+    met_.exit_residual->record(structured_residual(sqp_, out.qp.x));
   }
-
-  QpResult qp_result = solve_box_qp(qp, x0, config_.qp);
-  warm_start_ = qp_result.x;
-
-  out.freq_next.assign(qp_result.x.begin(),
-                       qp_result.x.begin() + static_cast<std::ptrdiff_t>(n));
-  out.predicted_power_w =
-      pred_base + dot(problem.gains_w_per_f, out.freq_next);
-  out.qp = std::move(qp_result);
 }
 
 Matrix mpc_closed_loop_matrix(const MpcConfig& config,

@@ -12,10 +12,8 @@
 // The decision variables are parameterized as the absolute frequency
 // vectors at each control-horizon step (prefix sums of the paper's
 // Delta-F), which turns the frequency bounds into a plain box and the cost
-// into a convex QP. By default it is solved through the O(n Lc) structured
-// operator of structured_qp.hpp (the Hessian is diag(R) + c_b k k^T per
-// control block); MpcConfig::use_dense_qp selects the dense `solve_box_qp`
-// reference path instead.
+// into a convex QP. Its Hessian is diag(R) + c_b k k^T per control block,
+// which structured_qp.hpp solves exactly in O(n Lc).
 //
 // The control penalty weight R_j per core implements the paper's progress
 // balancing: R_j = remaining-progress / normalized-remaining-time, so jobs
@@ -25,7 +23,6 @@
 #include <cstddef>
 
 #include "control/matrix.hpp"
-#include "control/qp.hpp"
 #include "control/structured_qp.hpp"
 #include "obs/sink.hpp"
 
@@ -41,12 +38,6 @@ struct MpcConfig {
   /// Optional per-period slew limit on each frequency (normalized units);
   /// <= 0 disables rate limiting.
   double max_slew_per_period = 0.0;
-  /// Solve the QP with the dense reference path (materialized Hessian +
-  /// power-iteration step bound) instead of the O(n Lc) structured
-  /// operator. The two agree to solver tolerance; the dense path exists as
-  /// a cross-check and for experiments with non-structured costs.
-  bool use_dense_qp = false;
-  QpOptions qp;
 };
 
 /// Per-invocation problem data.
@@ -83,9 +74,9 @@ class MpcPowerController {
   /// frequency vector for the next period.
   MpcOutput step(const MpcProblem& problem);
 
-  /// In-place variant: writes into `out`, reusing its vector capacity. On
-  /// the structured path a warm-started controller stepping a fixed-size
-  /// problem performs zero steady-state heap allocations.
+  /// In-place variant: writes into `out`, reusing its vector capacity. A
+  /// warm-started controller stepping a fixed-size problem performs zero
+  /// steady-state heap allocations.
   void step(const MpcProblem& problem, MpcOutput& out);
 
   /// Reset the warm-start state (e.g. when the actuated core set changes).
@@ -93,22 +84,21 @@ class MpcPowerController {
 
   /// Attach an observability sink (nullptr detaches). Metric handles are
   /// resolved here once; with a sink attached each step() adds counter
-  /// updates and a steady_clock read, without one detached it costs a
-  /// single branch.
+  /// updates, a steady_clock read and an O(n Lc) KKT-residual pass, without
+  /// one it costs a single branch.
   void set_obs(obs::ObsSink* sink);
 
  private:
-  void step_dense(const MpcProblem& problem, MpcOutput& out);
-  void step_structured(const MpcProblem& problem, MpcOutput& out);
-  /// Fill `reference_` (Eq. 7) and return the constant part of the power
-  /// prediction p_fb(t) - K . F(t).
-  double build_reference(const MpcProblem& problem);
+  /// Validate `problem` and assemble the structured QP into `sqp_` in one
+  /// pass per block; returns the constant part of the power prediction,
+  /// p_fb(t) - K . F(t).
+  double assemble(const MpcProblem& problem);
 
   MpcConfig config_;
+  double decay_;  ///< e^{-T/tau_r}, the per-step factor of Eq. 7
   Vector warm_start_;
-  // Controller-owned scratch for the structured path; sized on first use
-  // and reused verbatim while the problem shape is unchanged.
-  Vector reference_;
+  // Controller-owned scratch; sized on first use and reused verbatim while
+  // the problem shape is unchanged.
   StructuredBlockQp sqp_;
   StructuredQpScratch sqp_scratch_;
   Vector x0_;
@@ -116,9 +106,7 @@ class MpcPowerController {
   // Observability (optional). Handles cached by set_obs.
   struct ObsHandles {
     obs::Counter* solves_structured = nullptr;
-    obs::Counter* solves_dense = nullptr;
     obs::Counter* qp_iterations = nullptr;
-    obs::Counter* qp_restarts = nullptr;
     obs::Counter* qp_not_converged = nullptr;
     obs::Histogram* exit_residual = nullptr;
     obs::Histogram* step_us = nullptr;

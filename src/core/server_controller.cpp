@@ -10,13 +10,22 @@ ServerPowerController::ServerPowerController(const SprintConfig& config,
                                              server::Rack& rack,
                                              server::LinearPowerModel model)
     : config_(config),
-      rack_(rack),
       model_(model),
       mpc_(config.mpc),
       gain_estimator_(model.gain_w_per_f()) {
   config.validate();
   SPRINTCON_EXPECTS(!rack.batch_cores().empty(),
                     "server power controller needs batch cores to actuate");
+  batch_.reserve(rack.batch_cores().size());
+  for (const auto& ref : rack.batch_cores()) batch_.push_back(&rack.core(ref));
+  std::size_t cores = 0;
+  for (const server::Server& s : rack.servers()) cores += s.cores().size();
+  interactive_.reserve(cores - batch_.size());
+  for (server::Server& s : rack.servers()) {
+    for (server::CpuCore& core : s.cores()) {
+      if (!core.is_batch()) interactive_.push_back({&s, &core});
+    }
+  }
 }
 
 double ServerPowerController::effective_gain_w_per_f() const {
@@ -31,14 +40,10 @@ double ServerPowerController::estimate_interactive_power_w() const {
   // peak power would under-attribute the batch class and make the MPC
   // push batch frequencies up against the cap.
   double p = 0.0;
-  for (const server::Server& s : rack_.servers()) {
-    for (const server::CpuCore& core : s.cores()) {
-      if (!core.is_batch()) {
-        const double u = s.powered() ? core.utilization() : 0.0;
-        p += model_.constant_w() +
-             model_.interactive_gain_w_per_util() * u * core.freq();
-      }
-    }
+  for (const InteractiveCore& ic : interactive_) {
+    const double u = ic.server->powered() ? ic.core->utilization() : 0.0;
+    p += model_.constant_w() +
+         model_.interactive_gain_w_per_util() * u * ic.core->freq();
   }
   return p;
 }
@@ -48,23 +53,11 @@ void ServerPowerController::update(double p_total_w, double p_batch_target_w,
   SPRINTCON_EXPECTS(p_total_w >= 0.0, "measured power must be >= 0");
   SPRINTCON_EXPECTS(p_batch_target_w >= 0.0, "P_batch must be >= 0");
 
-  const auto& refs = rack_.batch_cores();
-  const std::size_t n = refs.size();
+  const std::size_t n = batch_.size();
 
   // Eq. 6: the batch power cannot be metered directly on colocated
   // servers, so subtract the modeled interactive power from the rack meter.
   const double p_fb = std::max(0.0, p_total_w - estimate_interactive_power_w());
-
-  // Adaptive gain: learn dP/df from (applied frequency move, observed
-  // power change) pairs across control periods.
-  double freq_sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) freq_sum += rack_.core(refs[i]).freq();
-  if (config_.adaptive_gain && prev_freq_sum_ >= 0.0) {
-    gain_estimator_.observe(freq_sum - prev_freq_sum_, p_fb - prev_p_fb_w_);
-  }
-  prev_freq_sum_ = freq_sum;
-  prev_p_fb_w_ = p_fb;
-  last_p_fb_w_ = p_fb;
 
   // Reuse the controller-owned problem buffers; resize is a no-op at
   // steady state so a warm-started update allocates nothing.
@@ -75,26 +68,43 @@ void ServerPowerController::update(double p_total_w, double p_batch_target_w,
   problem.freq_max.resize(n);
   problem.penalty_weights.resize(n);
 
-  const double k = effective_gain_w_per_f();
+  // One pass over the batch cores reads everything the period needs. The
+  // frequency sum feeds the adaptive-gain observation below, which may
+  // change the gain, so the gains are filled in afterwards.
+  double freq_sum = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
-    const server::CpuCore& core = rack_.core(refs[i]);
-    problem.gains_w_per_f[i] = k;
-    problem.freq_current[i] = core.freq();
+    const server::CpuCore& core = *batch_[i];
+    const workload::BatchJob& job = *core.job();
+    const double f = core.freq();
+    freq_sum += f;
+    problem.freq_current[i] = f;
     problem.freq_min[i] = core.freq_min();
     // A finished run-once job idles its core at the DVFS floor.
-    problem.freq_max[i] =
-        core.job()->completed() ? core.freq_min() : core.freq_max();
+    double f_max = job.completed() ? core.freq_min() : core.freq_max();
     // Thermal guard: a core above its throttle point gets its ceiling
     // pulled below the current frequency so it must cool off.
     if (config_.thermal_guard && core.thermally_throttled()) {
-      problem.freq_max[i] = std::max(
-          core.freq_min(),
-          std::min(problem.freq_max[i],
-                   core.freq() - config_.thermal_backoff_per_period));
+      f_max = std::max(core.freq_min(),
+                       std::min(f_max, f - config_.thermal_backoff_per_period));
     }
-    const double weight = core.job()->penalty_weight(now_s);
+    problem.freq_max[i] = f_max;
+    problem.penalty_weights[i] = std::max(job.penalty_weight(now_s), 1e-3);
+  }
+
+  // Adaptive gain: learn dP/df from (applied frequency move, observed
+  // power change) pairs across control periods.
+  if (config_.adaptive_gain && prev_freq_sum_ >= 0.0) {
+    gain_estimator_.observe(freq_sum - prev_freq_sum_, p_fb - prev_p_fb_w_);
+  }
+  prev_freq_sum_ = freq_sum;
+  prev_p_fb_w_ = p_fb;
+  last_p_fb_w_ = p_fb;
+
+  const double k = effective_gain_w_per_f();
+  for (std::size_t i = 0; i < n; ++i) {
+    problem.gains_w_per_f[i] = k;
     problem.penalty_weights[i] =
-        std::max(weight, 1e-3) * penalty_scale_ * k * k;
+        problem.penalty_weights[i] * penalty_scale_ * k * k;
   }
 
   if (pid_fallback_) {
@@ -112,9 +122,8 @@ void ServerPowerController::update(double p_total_w, double p_batch_target_w,
     const obs::ScopedSpan span(obs_ != nullptr ? obs_->trace() : nullptr,
                                "dvfs_actuate", "decision", "cores",
                                static_cast<double>(n));
-    for (std::size_t i = 0; i < n; ++i) {
-      rack_.core(refs[i]).set_freq(last_out_.freq_next[i]);
-    }
+    for (std::size_t i = 0; i < n; ++i)
+      batch_[i]->set_freq(last_out_.freq_next[i]);
   }
   record_commanded_freq();
 }
@@ -128,12 +137,11 @@ void ServerPowerController::set_pid_fallback(bool on) {
     // dP/du ~= n * K * (fmax - fmin). Gains are normalized by it so the
     // closed loop converges in a handful of control periods regardless
     // of rack size or model gain.
-    const auto& refs = rack_.batch_cores();
-    const server::CpuCore& first = rack_.core(refs.front());
+    const server::CpuCore& first = *batch_.front();
     const double span = std::max(1e-9, first.freq_max() - first.freq_min());
     const double dp_du = std::max(
         1e-9,
-        static_cast<double>(refs.size()) * effective_gain_w_per_f() * span);
+        static_cast<double>(batch_.size()) * effective_gain_w_per_f() * span);
     control::PidConfig pc;
     pc.kp = 0.4 / dp_du;
     pc.ki = 0.25 / dp_du;
@@ -151,15 +159,14 @@ void ServerPowerController::set_pid_fallback(bool on) {
 
 void ServerPowerController::update_pid(double p_fb_w,
                                        double p_batch_target_w) {
-  const auto& refs = rack_.batch_cores();
-  const std::size_t n = refs.size();
-  const server::CpuCore& first = rack_.core(refs.front());
+  const std::size_t n = batch_.size();
+  const server::CpuCore& first = *batch_.front();
   const double fmin = first.freq_min();
   const double span = std::max(1e-9, first.freq_max() - fmin);
 
   if (!pid_primed_) {
     double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) sum += rack_.core(refs[i]).freq();
+    for (const server::CpuCore* core : batch_) sum += core->freq();
     const double mean = sum / static_cast<double>(n);
     pid_.preload_output(std::clamp((mean - fmin) / span, 0.0, 1.0));
     pid_primed_ = true;
@@ -176,31 +183,27 @@ void ServerPowerController::update_pid(double p_fb_w,
     const double f =
         std::clamp(freq, problem_.freq_min[i], problem_.freq_max[i]);
     last_out_.freq_next[i] = f;
-    rack_.core(refs[i]).set_freq(f);
+    batch_[i]->set_freq(f);
   }
   if (obs_ != nullptr) obs_->metrics().counter("control.pid_updates").add(1);
   record_commanded_freq();
 }
 
 void ServerPowerController::reissue_last_command() {
-  const auto& refs = rack_.batch_cores();
-  if (last_out_.freq_next.size() != refs.size()) return;
-  for (std::size_t i = 0; i < refs.size(); ++i) {
-    rack_.core(refs[i]).set_freq(last_out_.freq_next[i]);
+  if (last_out_.freq_next.size() != batch_.size()) return;
+  for (std::size_t i = 0; i < batch_.size(); ++i) {
+    batch_[i]->set_freq(last_out_.freq_next[i]);
   }
   record_commanded_freq();
 }
 
 void ServerPowerController::pin_interactive_at_peak() {
-  rack_.for_each_core(server::CoreRole::kInteractive, [](server::CpuCore& c) {
-    c.set_freq(c.freq_max());
-  });
+  for (const InteractiveCore& ic : interactive_)
+    ic.core->set_freq(ic.core->freq_max());
 }
 
 void ServerPowerController::force_batch_frequency(double freq) {
-  rack_.for_each_core(server::CoreRole::kBatch, [freq](server::CpuCore& c) {
-    c.set_freq(freq);
-  });
+  for (server::CpuCore* core : batch_) core->set_freq(freq);
   mpc_.reset();
   record_commanded_freq();
 }
@@ -211,19 +214,18 @@ void ServerPowerController::record_commanded_freq() {
   // that later diverges from this gauge (a stuck actuator overwriting the
   // command, for instance) is an actuation fault the HealthMonitor can
   // catch by comparing against the realized batch frequencies.
-  const auto& refs = rack_.batch_cores();
   double sum = 0.0;
-  for (const auto& ref : refs) sum += rack_.core(ref).freq();
+  for (const server::CpuCore* core : batch_) sum += core->freq();
   obs_->metrics().gauge("control.cmd_batch_freq")
-      .set(refs.empty() ? 0.0 : sum / static_cast<double>(refs.size()));
+      .set(sum / static_cast<double>(batch_.size()));
 }
 
 std::vector<BatchJobStatus> ServerPowerController::job_statuses(
     double now_s) const {
   std::vector<BatchJobStatus> out;
-  out.reserve(rack_.batch_cores().size());
-  for (const auto& ref : rack_.batch_cores()) {
-    const server::CpuCore& core = rack_.core(ref);
+  out.reserve(batch_.size());
+  for (const server::CpuCore* core_ptr : batch_) {
+    const server::CpuCore& core = *core_ptr;
     const workload::BatchJob& job = *core.job();
     BatchJobStatus status;
     status.remaining_work_s = job.remaining_work_s();

@@ -80,7 +80,15 @@ class ServerPowerController {
 
  private:
   SprintConfig config_;
-  server::Rack& rack_;
+  /// The rack's batch cores in batch_cores() order, and its interactive
+  /// cores with their servers in rack order, resolved once: the rack's
+  /// server and core vectors never change size after construction.
+  std::vector<server::CpuCore*> batch_;
+  struct InteractiveCore {
+    const server::Server* server;
+    server::CpuCore* core;
+  };
+  std::vector<InteractiveCore> interactive_;
   server::LinearPowerModel model_;
   control::MpcPowerController mpc_;
   control::GainEstimator gain_estimator_;

@@ -215,8 +215,8 @@ void SprintConController::step(const sim::SimClock& clock) {
   const double recharge_w = recharge_w_;
 
   // --- server power controller ---------------------------------------------
-  if (clock.every(config_.control_period_s) &&
-      mode_ == ControlMode::kQuarantined) {
+  const bool control_tick = clock.every(config_.control_period_s);
+  if (control_tick && mode_ == ControlMode::kQuarantined) {
     // Quarantine: the sprint is over for this rack. Batch pinned at the
     // DVFS floor (re-imposed every period so a wedged actuator cannot
     // creep it back up); no MPC, no bidding. The rig/facility layer
@@ -224,7 +224,7 @@ void SprintConController::step(const sim::SimClock& clock) {
     const auto& refs = rack_.batch_cores();
     server_ctrl_.force_batch_frequency(rack_.core(refs.front()).freq_min());
     p_batch_eff_w_ = 0.0;
-  } else if (clock.every(config_.control_period_s)) {
+  } else if (control_tick) {
     double batch_target = std::min(targets.p_batch_w, p_cb_eff_w_);
     // The margin absorbs model error and interactive spikes that the CB
     // must not see when the UPS cannot (or should not) cover them.

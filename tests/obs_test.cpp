@@ -313,24 +313,10 @@ TEST(MpcObs, StepCountsSolvesAndIterations) {
 
   const MetricsSnapshot snap = sink.metrics().snapshot();
   EXPECT_EQ(snap.counter("mpc.solves.structured"), 5u);
-  EXPECT_EQ(snap.counter("mpc.solves.dense"), 0u);
   EXPECT_GE(snap.counter("mpc.qp.iterations"), 5u);
   EXPECT_EQ(snap.histograms.at("mpc.step_us").count, 5u);
   EXPECT_EQ(snap.histograms.at("mpc.qp.exit_residual").count, 5u);
   EXPECT_EQ(snap.counter("mpc.qp.not_converged"), 0u);
-}
-
-TEST(MpcObs, DensePathCountsSeparately) {
-  control::MpcConfig cfg;
-  cfg.use_dense_qp = true;
-  control::MpcPowerController mpc(cfg);
-  ObsSink sink;
-  mpc.set_obs(&sink);
-  control::MpcOutput out;
-  mpc.step(small_problem(4), out);
-  const MetricsSnapshot snap = sink.metrics().snapshot();
-  EXPECT_EQ(snap.counter("mpc.solves.dense"), 1u);
-  EXPECT_EQ(snap.counter("mpc.solves.structured"), 0u);
 }
 
 TEST(MpcObs, DetachStopsCounting) {
@@ -343,20 +329,6 @@ TEST(MpcObs, DetachStopsCounting) {
   mpc.set_obs(nullptr);
   mpc.step(small_problem(4), out);
   EXPECT_EQ(sink.metrics().snapshot().counter("mpc.solves.structured"), 1u);
-}
-
-TEST(QpRestarts, CountedAndReset) {
-  // A badly warm-started strongly convex problem takes at least one
-  // momentum restart on the way down; the counter must reset per solve.
-  control::MpcConfig cfg;
-  control::MpcPowerController mpc(cfg);
-  control::MpcOutput out;
-  mpc.step(small_problem(16), out);
-  EXPECT_GE(out.qp.restarts, 0);
-  const int first = out.qp.restarts;
-  mpc.step(small_problem(16), out);
-  // Warm-started second solve cannot report an accumulated total.
-  EXPECT_LE(out.qp.restarts, first + out.qp.iterations);
 }
 
 // --- circuit breaker events --------------------------------------------------

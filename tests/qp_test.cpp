@@ -1,11 +1,12 @@
-// Tests for the box-constrained QP solver.
+// Tests for the dense box-QP oracle (tests/box_qp.hpp) that the structured
+// solver is checked against.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "box_qp.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "control/qp.hpp"
 
 namespace sprintcon::control {
 namespace {
@@ -17,7 +18,7 @@ TEST(BoxQp, UnconstrainedMinimumInsideBox) {
   qp.gradient = {-2.0, -4.0};
   qp.lower = {-10.0, -10.0};
   qp.upper = {10.0, 10.0};
-  const QpResult r = solve_box_qp(qp, {0.0, 0.0});
+  const BoxQpResult r = solve_box_qp(qp, {0.0, 0.0});
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.x[0], 1.0, 1e-6);
   EXPECT_NEAR(r.x[1], 2.0, 1e-6);
@@ -30,7 +31,7 @@ TEST(BoxQp, ActiveBoundClamps) {
   qp.gradient = {-2.0, -4.0};
   qp.lower = {-1.0, -1.0};
   qp.upper = {0.5, 10.0};
-  const QpResult r = solve_box_qp(qp, {0.0, 0.0});
+  const BoxQpResult r = solve_box_qp(qp, {0.0, 0.0});
   EXPECT_TRUE(r.converged);
   EXPECT_NEAR(r.x[0], 0.5, 1e-6);
   EXPECT_NEAR(r.x[1], 2.0, 1e-6);
@@ -43,7 +44,7 @@ TEST(BoxQp, CoupledHessian) {
   qp.gradient = {-3.0, -3.0};
   qp.lower = {-10.0, -10.0};
   qp.upper = {10.0, 10.0};
-  const QpResult r = solve_box_qp(qp, {0.0, 0.0});
+  const BoxQpResult r = solve_box_qp(qp, {0.0, 0.0});
   EXPECT_NEAR(r.x[0], 1.0, 1e-6);
   EXPECT_NEAR(r.x[1], 1.0, 1e-6);
 }
@@ -54,7 +55,7 @@ TEST(BoxQp, DegenerateZeroBoxReturnsCorner) {
   qp.gradient = {-10.0};
   qp.lower = {3.0};
   qp.upper = {3.0};  // point box
-  const QpResult r = solve_box_qp(qp, {0.0});
+  const BoxQpResult r = solve_box_qp(qp, {0.0});
   EXPECT_DOUBLE_EQ(r.x[0], 3.0);
   EXPECT_TRUE(r.converged);
 }
@@ -65,8 +66,8 @@ TEST(BoxQp, WarmStartAgreesWithColdStart) {
   qp.gradient = {1.0, -2.0};
   qp.lower = {0.0, 0.0};
   qp.upper = {1.0, 1.0};
-  const QpResult cold = solve_box_qp(qp, {0.0, 0.0});
-  const QpResult warm = solve_box_qp(qp, cold.x);
+  const BoxQpResult cold = solve_box_qp(qp, {0.0, 0.0});
+  const BoxQpResult warm = solve_box_qp(qp, cold.x);
   EXPECT_NEAR(cold.x[0], warm.x[0], 1e-6);
   EXPECT_NEAR(cold.x[1], warm.x[1], 1e-6);
   EXPECT_LE(warm.iterations, cold.iterations);
@@ -120,10 +121,10 @@ TEST_P(QpProperty, KktResidualSmallAndObjectiveOptimal) {
   qp.upper.assign(n, 1.0);
   for (auto& g : qp.gradient) g = rng.uniform(-5.0, 5.0);
 
-  QpOptions opts;
+  BoxQpOptions opts;
   opts.max_iterations = 2000;
   opts.tolerance = 1e-9;
-  const QpResult r = solve_box_qp(qp, Vector(n, 0.5), opts);
+  const BoxQpResult r = solve_box_qp(qp, Vector(n, 0.5), opts);
   EXPECT_TRUE(r.converged) << "residual " << r.residual;
 
   const double f_star = box_qp_objective(qp, r.x);

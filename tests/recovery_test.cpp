@@ -351,6 +351,13 @@ struct MttrCase {
   double resolve_by_s;   ///< incident must fully close by this sim time
 };
 
+// Without this gtest would print the case as raw bytes, which include the
+// `plan` pointer; under ASLR that made the listed test names (and so the
+// ctest names gtest_discover_tests derives from them) change every build.
+void PrintTo(const MttrCase& c, std::ostream* os) {
+  *os << "start " << c.start_s << " by " << c.resolve_by_s;
+}
+
 class RecoveryMttr : public ::testing::TestWithParam<MttrCase> {};
 
 TEST_P(RecoveryMttr, RemediatesAndReturnsToNonDegraded) {
