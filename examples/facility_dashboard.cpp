@@ -1,46 +1,34 @@
-// Facility dashboard: run a small data-center floor of sprinting racks and
-// print the facility-level view an operator would watch — aggregate feed
-// draw, per-rack safety, solver health, and the effect of staggered
-// overload windows. Built on the structured observability layer: every
-// number below comes out of the racks' obs::RunReport, and `--json FILE`
-// dumps the same data for scripts/report_check.py.
+// Facility dashboard: run a data-center floor of sprinting racks and print
+// the facility-level view an operator would watch — aggregate feed draw,
+// per-rack safety, solver health, and the effect of staggered overload
+// windows. Built on the structured observability layer: every number
+// below comes out of the racks' obs::RunReport, and `--json FILE` dumps
+// the same data for scripts/report_check.py.
 //
-//   ./build/examples/facility_dashboard [num_racks] [--json FILE]
-//                                       [--scenario FILE] [--faults PLAN]
-//                                       [--trace FILE] [--health]
-//                                       [--recovery]
+//   ./build/examples/facility_dashboard --scenario FILE [--json FILE]
+//                                       [--trace FILE]
 //
-// `--scenario FILE` loads a declarative scenario (src/scenario/spec.hpp;
-// see examples/scenarios/ for the named library) and runs exactly the
-// facility it describes — fleet size, rack shape, workload mix, surges,
-// grid events and embedded faults all come from the file, so a positional
-// rack count or `--faults` plan cannot be combined with it. `--threads`,
-// `--health` and `--recovery` still apply on top.
-//
-// `--faults PLAN` loads a fault plan (see src/fault/fault.hpp for the
-// format) and injects it into every rack — the dashboard then shows how
-// the floor degrades (and recovers) under meter, actuator, UPS, breaker
-// or utility faults.
-//
-// `--health` turns on the per-rack HealthMonitor (DESIGN.md §8.5) and
-// prints an active-alert summary; `--recovery` (implies --health) closes
-// the loop with the recovery engine (DESIGN.md §10) and reports the
-// remediation actions, incidents resolved, MTTR and any rack the ladder
-// had to quarantine. Both views also land in the `--json` export.
+// The scenario file (src/scenario/spec.hpp; examples/scenarios/ holds the
+// named library) is the whole description of the run: fleet size, worker
+// threads, rack shape, workload mix, surges, grid events, embedded faults,
+// and the per-rack HealthMonitor (`fleet health=true`, DESIGN.md §8.5) and
+// recovery engine (`fleet recovery=true`, DESIGN.md §10). With health on
+// the dashboard prints an active-alert summary; with recovery on it also
+// reports the remediation actions, incidents resolved, MTTR and any rack
+// the ladder had to quarantine. Both views also land in the `--json`
+// export.
 //
 // `--trace FILE` records the decision-path and shard-runtime spans and
 // writes them as Chrome trace-event JSON: open FILE in
 // https://ui.perfetto.dev (or chrome://tracing) to see where the wall
 // clock went, per rack and per worker shard. scripts/check_trace.py
 // validates the schema.
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/table.hpp"
-#include "fault/fault.hpp"
 #include "obs/export.hpp"
 #include "obs/health.hpp"
 #include "recovery/recovery.hpp"
@@ -88,9 +76,9 @@ std::string recovery_json(const sprintcon::recovery::RecoveryManager& rec) {
 
 /// {"context":{...},"facility":{"metrics":...},"racks":[<report>,...]}.
 /// The context block records build provenance (git commit, build type)
-/// and run shape so an archived report is self-describing. With --health
-/// or --recovery each rack report is wrapped with the matching summary
-/// block ({"report":...,"health":...,"recovery":...}).
+/// and run shape so an archived report is self-describing. With health or
+/// recovery on, per-rack "health" / "recovery" summary arrays follow the
+/// rack reports.
 std::string facility_json(sprintcon::scenario::Facility& facility,
                           const std::vector<sprintcon::obs::RunReport>& racks) {
   std::string out = "{\"context\":{\"git_commit\":\"" SPRINTCON_GIT_COMMIT
@@ -142,93 +130,47 @@ std::string facility_json(sprintcon::scenario::Facility& facility,
 int main(int argc, char** argv) {
   using namespace sprintcon;
 
-  std::size_t racks = 4;
-  bool racks_set = false;
-  std::string json_path;
-  std::string faults_path;
   std::string scenario_path;
+  std::string json_path;
   std::string trace_path;
-  std::size_t threads = 0;  // 0 = one worker per hardware thread
-  bool threads_set = false;
-  bool health = false;
-  bool recovery = false;
-  for (int i = 1; i < argc; ++i) {
+  // Every option takes a value, so argv is (flag, value) pairs.
+  bool usage = argc % 2 == 0;
+  for (int i = 1; i + 1 < argc && !usage; i += 2) {
     const std::string arg = argv[i];
-    if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "--faults" && i + 1 < argc) {
-      faults_path = argv[++i];
-    } else if (arg == "--scenario" && i + 1 < argc) {
-      scenario_path = argv[++i];
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = static_cast<std::size_t>(std::atoi(argv[++i]));
-      threads_set = true;
-    } else if (arg == "--health") {
-      health = true;
-    } else if (arg == "--recovery") {
-      recovery = true;
-    } else {
-      racks = static_cast<std::size_t>(std::atoi(arg.c_str()));
-      racks_set = true;
-    }
+    std::string* value = arg == "--scenario" ? &scenario_path
+                         : arg == "--json"   ? &json_path
+                         : arg == "--trace"  ? &trace_path
+                                             : nullptr;
+    usage = value == nullptr;
+    if (!usage) *value = argv[i + 1];
   }
-  if (scenario_path.empty() && (racks == 0 || racks > 16)) {
-    std::cerr << "usage: facility_dashboard [1..16 racks] [--json FILE]"
-                 " [--scenario FILE] [--faults PLAN] [--trace FILE]"
-                 " [--threads N] [--health] [--recovery]\n";
-    return 1;
-  }
-  if (!scenario_path.empty() && (!faults_path.empty() || racks_set)) {
-    std::cerr << "--scenario describes the whole facility; it cannot be"
-                 " combined with --faults or a rack count\n";
+  if (usage || scenario_path.empty()) {
+    std::cerr << "usage: facility_dashboard --scenario FILE [--json FILE]"
+                 " [--trace FILE]\n"
+                 "  the scenario file describes the whole run; see"
+                 " examples/scenarios/\n";
     return 1;
   }
 
   scenario::FacilityConfig config;
-  if (!scenario_path.empty()) {
-    try {
-      const scenario::ScenarioSpec spec =
-          scenario::load_scenario(scenario_path);
-      config = scenario::compile(spec);
-      std::cout << "scenario '" << spec.name << "' from " << scenario_path
-                << ": " << config.num_racks << " racks, "
-                << spec.duration_s << " s, " << spec.surges.size()
-                << " surge(s), " << spec.grid_events.size()
-                << " grid event(s), " << spec.faults.faults.size()
-                << " scripted fault(s)\n";
-    } catch (const std::exception& e) {
-      std::cerr << "bad scenario: " << e.what() << "\n";
-      return 1;
-    }
-    racks = config.num_racks;
-    if (threads_set) config.run_threads = threads;
-    if (health) config.rack.health = true;
-    if (recovery) config.recovery = true;
-  } else {
-    config.num_racks = racks;
-    config.staggered = true;
-    config.run_threads = threads;
-    config.rack.health = health;
-    config.recovery = recovery;
-    if (!faults_path.empty()) {
-      try {
-        config.rack.faults = fault::FaultPlan::load(faults_path);
-      } catch (const std::exception& e) {
-        std::cerr << "bad fault plan " << faults_path << ": " << e.what()
-                  << "\n";
-        return 1;
-      }
-      std::cout << "injecting " << config.rack.faults.faults.size()
-                << " scripted fault(s) from " << faults_path
-                << " into every rack\n";
-    }
+  try {
+    const scenario::ScenarioSpec spec = scenario::load_scenario(scenario_path);
+    config = scenario::compile(spec);
+    std::cout << "scenario '" << spec.name << "' from " << scenario_path
+              << ": " << config.num_racks << " racks, " << spec.duration_s
+              << " s, " << spec.surges.size() << " surge(s), "
+              << spec.grid_events.size() << " grid event(s), "
+              << spec.faults.faults.size() << " scripted fault(s)\n";
+  } catch (const std::exception& e) {
+    std::cerr << "bad scenario: " << e.what() << "\n";
+    return 1;
   }
   config.observability = true;
   config.tracing = !trace_path.empty();
-  std::cout << "running " << racks
-            << " SprintCon racks with staggered overload windows...\n\n";
+  std::cout << "running " << config.num_racks << " "
+            << scenario::to_string(config.rack.policy) << " racks"
+            << (config.staggered ? " with staggered overload windows" : "")
+            << "...\n\n";
   scenario::Facility facility(config);
   facility.run();
 
@@ -270,8 +212,8 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
 
-  // Fault timeline: which scripted fault fired when, per rack (covers both
-  // --faults plans and scenario-embedded faults / grid events).
+  // Fault timeline: which scripted fault fired when, per rack (embedded
+  // faults and grid events alike).
   if (!config.rack.faults.empty()) {
     std::cout << "\nfault timeline:\n";
     for (std::size_t r = 0; r < reports.size(); ++r) {
@@ -288,7 +230,7 @@ int main(int argc, char** argv) {
   }
 
   // Active alerts (health monitor) and remediation (recovery engine).
-  if (health || recovery) {
+  if (facility.rig(0).health() != nullptr) {
     std::cout << "\nhealth (active alerts at run end):\n";
     for (std::size_t r = 0; r < facility.num_racks(); ++r) {
       const obs::HealthMonitor* mon = facility.rig(r).health();
@@ -300,7 +242,7 @@ int main(int argc, char** argv) {
       std::cout << "\n";
     }
   }
-  if (recovery) {
+  if (facility.rig(0).recovery() != nullptr) {
     std::cout << "\nrecovery (engine actions over the run):\n";
     for (std::size_t r = 0; r < facility.num_racks(); ++r) {
       const recovery::RecoveryManager* rec = facility.rig(r).recovery();
@@ -340,7 +282,7 @@ int main(int argc, char** argv) {
             << " kW, peak " << format_fixed(total.max() / 1000.0, 2)
             << " kW\n"
             << "\nstaggering keeps the facility feed nearly flat; re-run\n"
-               "with config.staggered = false to see the synchronized\n"
+               "with `fleet staggered=false` to see the synchronized\n"
                "square wave (or see bench/ablation_stagger).\n";
 
   if (!json_path.empty()) {

@@ -6,19 +6,18 @@
 // the trace_io reader, and runs a SprintCon-controlled rack whose
 // interactive cores replay it. Usage:
 //
-//   ./build/examples/trace_replay [trace.csv] [--faults PLAN]
-//                                 [--scenario FILE]
+//   ./build/examples/trace_replay [trace.csv | --scenario FILE]
 //
 // With a csv argument, the file is loaded instead of the synthesized
-// trace (one value column, or time_s,value rows). `--faults PLAN` loads
-// a fault plan (src/fault/fault.hpp) and replays the trace under it —
-// handy for reproducing a production incident against a recorded load.
+// trace (one value column, or time_s,value rows).
 //
 // `--scenario FILE` replays one rack of a declarative scenario
 // (src/scenario/spec.hpp, examples/scenarios/): the rack shape, workload,
 // surges, grid events and faults all come from the file, so it cannot be
-// combined with a csv trace or `--faults`. Useful for debugging a single
-// rack of a scenario without spinning up the whole facility_dashboard.
+// combined with a csv trace. This is also how to replay under faults, e.g.
+// to reproduce a production incident: put the plan in the scenario as
+// `fault` lines. Useful for debugging a single rack of a scenario without
+// spinning up the whole facility_dashboard.
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -75,38 +74,25 @@ int main(int argc, char** argv) {
   using namespace sprintcon;
 
   std::string csv_path;
-  std::string faults_path;
   std::string scenario_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--faults" && i + 1 < argc) {
-      faults_path = argv[++i];
-    } else if (arg == "--scenario" && i + 1 < argc) {
+    if (arg == "--scenario" && i + 1 < argc) {
       scenario_path = argv[++i];
+    } else if (arg.rfind("--", 0) == 0) {
+      std::cerr << "usage: trace_replay [trace.csv | --scenario FILE]\n";
+      return 1;
     } else {
       csv_path = arg;
     }
   }
   if (!scenario_path.empty()) {
-    if (!faults_path.empty() || !csv_path.empty()) {
+    if (!csv_path.empty()) {
       std::cerr << "--scenario describes the whole run; it cannot be"
-                   " combined with --faults or a csv trace\n";
+                   " combined with a csv trace\n";
       return 1;
     }
     return replay_scenario(scenario_path);
-  }
-
-  fault::FaultPlan plan;
-  if (!faults_path.empty()) {
-    try {
-      plan = fault::FaultPlan::load(faults_path);
-    } catch (const std::exception& e) {
-      std::cerr << "bad fault plan " << faults_path << ": " << e.what()
-                << "\n";
-      return 1;
-    }
-    std::cout << "replaying under " << plan.faults.size()
-              << " scripted fault(s) from " << faults_path << "\n";
   }
 
   // --- obtain a trace ---------------------------------------------------------
@@ -171,19 +157,7 @@ int main(int argc, char** argv) {
 
   sim::Simulation sim(1.0);
   sim.add(rack);
-  std::unique_ptr<fault::FaultInjector> injector;
-  std::unique_ptr<fault::FaultActuatorStage> actuators;
-  if (!plan.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(plan, /*seed=*/1729,
-                                                      rack, path);
-    sim.add(*injector);
-    sprintcon.set_fault(injector.get());
-  }
   sim.add(sprintcon);
-  if (injector) {
-    actuators = std::make_unique<fault::FaultActuatorStage>(*injector);
-    sim.add(*actuators);
-  }
   sim.run_until(900.0);
 
   std::cout << "\nafter a 15-minute sprint on the replayed trace:\n"
@@ -204,8 +178,5 @@ int main(int argc, char** argv) {
                }()
             << "\n  sprint state:         " << core::to_string(sprintcon.state())
             << "\n";
-  if (injector) {
-    std::cout << "  fault activations:    " << injector->activations() << "\n";
-  }
   return 0;
 }

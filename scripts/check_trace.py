@@ -15,10 +15,11 @@ Two modes:
         validate an existing export.
     scripts/check_trace.py --dashboard build/examples/facility_dashboard \
         [--racks 3] [--threads 2]
-        self-run the dashboard with --trace into a temp file, validate it,
-        and additionally require the decision-path and shard spans
+        self-run the dashboard on a temporary scenario file (RACKS racks
+        on THREADS worker shards) with --trace into a temp file, validate
+        it, and additionally require the decision-path and shard spans
         (mpc_solve, power_outcome, shard_epoch) that a facility run must
-        produce. This is the `trace` ctest.
+        produce. This is the `check_trace` ctest.
 
 Exits non-zero with a reason on the first violation.
 """
@@ -117,13 +118,17 @@ def main() -> int:
     if args.dashboard is not None:
         if not args.dashboard.exists():
             fail(f"dashboard binary not found at {args.dashboard}")
+        with tempfile.NamedTemporaryFile(mode="w", suffix=".scn",
+                                         delete=False) as tmp:
+            tmp.write("scenario name=check-trace\n"
+                      f"fleet racks={args.racks} threads={args.threads}\n")
+            scn_path = pathlib.Path(tmp.name)
         with tempfile.NamedTemporaryFile(suffix=".json",
                                          delete=False) as tmp:
             trace_path = pathlib.Path(tmp.name)
         try:
             subprocess.run(
-                [str(args.dashboard), str(args.racks),
-                 "--threads", str(args.threads),
+                [str(args.dashboard), "--scenario", str(scn_path),
                  "--trace", str(trace_path)],
                 check=True, capture_output=True, text=True)
             doc = json.loads(trace_path.read_text())
@@ -133,6 +138,7 @@ def main() -> int:
             fail(f"trace is not valid JSON: {exc}")
         finally:
             trace_path.unlink(missing_ok=True)
+            scn_path.unlink(missing_ok=True)
         require_spans = ("mpc_solve", "power_outcome", "shard_epoch")
     else:
         try:

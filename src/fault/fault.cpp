@@ -2,8 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <istream>
 #include <sstream>
 
 #include "common/validation.hpp"
@@ -155,7 +153,8 @@ std::string FaultPlan::to_text() const {
   return out;
 }
 
-FaultPlan FaultPlan::parse(std::istream& in) {
+FaultPlan FaultPlan::parse_string(std::string_view text) {
+  std::istringstream in{std::string(text)};
   FaultPlan plan;
   std::string line;
   int line_no = 0;
@@ -173,17 +172,6 @@ FaultPlan FaultPlan::parse(std::istream& in) {
     }
   }
   return plan;
-}
-
-FaultPlan FaultPlan::parse_string(std::string_view text) {
-  std::istringstream in{std::string(text)};
-  return parse(in);
-}
-
-FaultPlan FaultPlan::load(const std::string& path) {
-  std::ifstream in(path);
-  SPRINTCON_EXPECTS(static_cast<bool>(in), "cannot open fault plan: " + path);
-  return parse(in);
 }
 
 }  // namespace sprintcon::fault

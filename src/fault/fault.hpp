@@ -3,9 +3,10 @@
 //
 // A FaultSpec is one timed fault: a kind, an activation window
 // [start_s, start_s + duration_s), and kind-specific parameters. A
-// FaultPlan is an ordered list of specs, parseable from a small
-// line-oriented text format so that plans can be checked into tests and
-// passed to the example binaries via `--faults <plan>`:
+// FaultPlan is an ordered list of specs in a small line-oriented text
+// format. A run carries its plan inside its scenario file, one `fault`
+// line per spec (src/scenario/spec.hpp); the grammar after the keyword is
+// this one:
 //
 //     # lines starting with '#' are comments
 //     meter_noise    start=100 duration=200 magnitude=0.05
@@ -19,7 +20,6 @@
 // tests/fault_test.cpp asserts.
 #pragma once
 
-#include <iosfwd>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -78,12 +78,13 @@ struct FaultSpec {
     return now_s >= start_s && now_s < end_s();
   }
 
-  /// One plan-format line (no newline); parse() round-trips it.
+  /// One plan-format line (no newline); parse_line() round-trips it.
   std::string to_line() const;
   /// Parse one plan-format line ("<kind> key=value ..."; no comment
   /// handling) and validate it. Throws InvalidArgumentError without any
-  /// line-number context — callers that track position (FaultPlan::parse,
-  /// the scenario loader) wrap the message with their own file:line.
+  /// line-number context — callers that track position
+  /// (FaultPlan::parse_string, the scenario loader) wrap the message with
+  /// their own file:line.
   static FaultSpec parse_line(std::string_view line);
   /// Validate ranges for the kind; throws InvalidArgumentError.
   void validate() const;
@@ -105,10 +106,7 @@ struct FaultPlan {
 
   /// Parse the text format; throws InvalidArgumentError on malformed
   /// lines, unknown kinds or out-of-range parameters.
-  static FaultPlan parse(std::istream& in);
   static FaultPlan parse_string(std::string_view text);
-  /// Load from a file; throws InvalidArgumentError if unreadable.
-  static FaultPlan load(const std::string& path);
 };
 
 }  // namespace sprintcon::fault

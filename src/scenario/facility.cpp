@@ -91,8 +91,6 @@ Facility::Facility(const FacilityConfig& config) : config_(config) {
     rack_cfg.seed = config.rack.seed + r;  // distinct workloads per rack
     rack_cfg.observability =
         config.observability || config.tracing || config.rack.observability;
-    rack_cfg.health = config.health || config.rack.health;
-    rack_cfg.recovery = config.recovery || config.rack.recovery;
     if (config.staggered) {
       rack_cfg.sprint.schedule_offset_s =
           cycle * static_cast<double>(r) /
@@ -249,7 +247,7 @@ void Facility::run() {
   const auto on_epoch = [&]() noexcept {
     const double t_s = std::min(
         config_.epoch_s * static_cast<double>(epoch_index + 1), duration);
-    if (config_.recovery) reroute(t_s);
+    if (config_.rack.recovery) reroute(t_s);
     if (config_.epoch_callback) {
       try {
         config_.epoch_callback(epoch_index, t_s);

@@ -69,6 +69,9 @@ struct FacilityConfig {
   /// the worker threads.
   std::function<void(std::size_t, double)> epoch_callback;
   /// Per-rack configuration template; each rack gets seed + rack index.
+  /// With rack.recovery set the facility also re-routes interactive
+  /// request load away from quarantined/failed rigs at every epoch
+  /// boundary, conserving the offered load across the survivors.
   RigConfig rack;
   /// Observability: gives every rig its own ObsSink (events + metrics)
   /// plus a facility-level sink aggregating rack run times and shard
@@ -83,13 +86,6 @@ struct FacilityConfig {
   /// Events retained per trace buffer; overflow drops and counts
   /// (Tracer::total_dropped()), never reallocates mid-run.
   std::size_t trace_capacity = std::size_t{1} << 14;
-  /// Forwarded to every rack: enable the per-rig HealthMonitor.
-  bool health = false;
-  /// Forwarded to every rack: enable the per-rig recovery engine
-  /// (implies health). The facility additionally re-routes interactive
-  /// request load away from quarantined/failed rigs at every epoch
-  /// boundary, conserving the offered load across the survivors.
-  bool recovery = false;
   /// Supervision policy for shard workers that throw mid-run.
   WorkerFailurePolicy worker_failure = WorkerFailurePolicy::kFailFast;
 

@@ -369,10 +369,10 @@ FacilityConfig compile(const ScenarioSpec& spec) {
   fc.run_threads = spec.fleet.threads;
   fc.staggered = spec.fleet.staggered;
   fc.epoch_s = spec.fleet.epoch_s;
-  fc.health = spec.fleet.health;
-  fc.recovery = spec.fleet.recovery;
 
   RigConfig& rig = fc.rack;
+  rig.health = spec.fleet.health;
+  rig.recovery = spec.fleet.recovery;
   rig.policy = spec.rack.policy;
   rig.num_servers = spec.rack.servers;
   rig.interactive_cores_per_server = spec.rack.interactive_cores;

@@ -1,9 +1,9 @@
 // The scenario description language (DESIGN.md §12): one declarative text
 // file describes a whole facility experiment — fleet composition, rack
 // shape, workload mix, timed traffic surges, grid/utility events, an
-// embedded fault plan, the controller policy, and run duration/seed —
-// subsuming the example binaries' flag soup behind a single
-// `--scenario FILE` entry point.
+// embedded fault plan, the controller policy, and run duration/seed. It is
+// the only way to describe a run: the example binaries take it as
+// `--scenario FILE` and have no other run-shaping options.
 //
 // The format extends the fault-plan idiom (src/fault/fault.hpp): one
 // section keyword per line followed by key=value pairs, '#' comments,
@@ -19,8 +19,8 @@
 //
 // `scenario` appears exactly once (first); `fleet`/`rack`/`workload` at
 // most once; `surge`/`grid`/`fault` repeat. Every `fault` line is exactly
-// one fault-plan line (FaultSpec grammar), so an existing `--faults` plan
-// migrates by prefixing each line with `fault `.
+// one fault-plan line (FaultSpec grammar), so a fault plan joins a
+// scenario by prefixing each of its lines with `fault `.
 //
 // ScenarioSpec is a value type: parse -> to_text -> parse is the identity
 // (tests/scenario_test.cpp pins the round-trip for every shipped scenario

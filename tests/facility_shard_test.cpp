@@ -258,7 +258,7 @@ TEST(FacilityShard, RecoveryAndRerouteAreBitIdenticalToSequential) {
   // epoch-boundary load re-route, and the unwind, in both executors.
   const auto make_config = [](std::size_t threads) {
     FacilityConfig cfg = sweep_config(3, threads, false, true);
-    cfg.recovery = true;
+    cfg.rack.recovery = true;
     // The quarantine window in this scenario is roughly t in [40, 60);
     // boundaries every 10 s make sure the re-route coordinator sees it.
     cfg.epoch_s = 10.0;

@@ -189,6 +189,14 @@ struct MttdCase {
   std::vector<std::string> causes;  ///< acceptable detecting rules
 };
 
+// Without this gtest would print the case as raw bytes, which include the
+// `plan` pointer, so the listed test names (and the ctest names
+// gtest_discover_tests derives from them) would move with binary layout
+// and ASLR.
+void PrintTo(const MttdCase& c, std::ostream* os) {
+  *os << "start " << c.start_s;
+}
+
 class HealthMttd : public ::testing::TestWithParam<MttdCase> {};
 
 TEST_P(HealthMttd, DetectsInjectedFaultWithBoundedDelay) {

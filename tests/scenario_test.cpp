@@ -1,9 +1,6 @@
 // Scenario description language tests (DESIGN.md §12):
 //   - the shipped library (examples/scenarios/*.scn) parses, validates,
 //     compiles, and survives the parse -> to_text -> parse round-trip;
-//   - rolling-brownout's embedded fault plan is exactly
-//     examples/plans/brownout_drill.plan, and the legacy `--faults` path
-//     produces a bit-identical rig trace;
 //   - every loader diagnostic carries "<file>:<line>:" and fires on the
 //     malformed input it documents;
 //   - compile() lowers surges onto the interactive envelope and grid
@@ -17,14 +14,12 @@
 #include "common/error.hpp"
 #include "fault/fault.hpp"
 #include "scenario/loader.hpp"
-#include "scenario/rig.hpp"
 #include "scenario/spec.hpp"
 
 namespace sprintcon::scenario {
 namespace {
 
 constexpr const char* kScenarioDir = SPRINTCON_SCENARIO_DIR;
-constexpr const char* kPlansDir = SPRINTCON_PLANS_DIR;
 
 std::vector<std::filesystem::path> shipped_scenarios() {
   std::vector<std::filesystem::path> out;
@@ -85,44 +80,6 @@ TEST(ScenarioLibrary, RoundTripIsIdentity) {
     EXPECT_EQ(spec, reparsed) << "canonical text:\n" << text;
     // And the canonical form is a fixed point.
     EXPECT_EQ(text, reparsed.to_text());
-  }
-}
-
-// ---------------------------------------------------------------------------
-// brownout_drill.plan migration (embedded vs legacy --faults path)
-// ---------------------------------------------------------------------------
-
-TEST(ScenarioLibrary, RollingBrownoutEmbedsTheBrownoutDrillPlan) {
-  const ScenarioSpec spec =
-      load_scenario(std::string(kScenarioDir) + "/rolling-brownout.scn");
-  const fault::FaultPlan plan =
-      fault::FaultPlan::load(std::string(kPlansDir) + "/brownout_drill.plan");
-  EXPECT_EQ(spec.faults, plan);
-}
-
-TEST(ScenarioLibrary, EmbeddedAndLegacyFaultPathsAreBitIdentical) {
-  const ScenarioSpec spec =
-      load_scenario(std::string(kScenarioDir) + "/rolling-brownout.scn");
-  const FacilityConfig compiled = compile(spec);
-
-  // The legacy path: default rig + FaultPlan::load, exactly what
-  // `facility_dashboard --faults examples/plans/brownout_drill.plan` builds.
-  RigConfig legacy = compiled.rack;
-  legacy.faults =
-      fault::FaultPlan::load(std::string(kPlansDir) + "/brownout_drill.plan");
-
-  Rig a(compiled.rack);
-  Rig b(legacy);
-  a.run();
-  b.run();
-  for (const char* channel : {"total_power_w", "cb_power_w", "battery_soc",
-                              "freq_interactive", "freq_batch"}) {
-    const std::vector<double>& va = a.recorder().series(channel).values();
-    const std::vector<double>& vb = b.recorder().series(channel).values();
-    ASSERT_EQ(va.size(), vb.size()) << channel;
-    for (std::size_t i = 0; i < va.size(); ++i) {
-      ASSERT_EQ(va[i], vb[i]) << channel << " sample " << i;
-    }
   }
 }
 

@@ -102,7 +102,7 @@ TEST(Soak, RandomOverlappingFaultsAcrossShardedFleet) {
     cfg.run_threads = 3;
     cfg.epoch_s = 30.0;
     cfg.observability = true;
-    cfg.recovery = true;
+    cfg.rack.recovery = true;
     cfg.worker_failure = WorkerFailurePolicy::kDegrade;
     // Paper-default rack sizing (16 servers, 400 Wh UPS): the envelope
     // recovery_test's targeted MTTR cases are known to survive in.

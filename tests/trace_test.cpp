@@ -146,7 +146,8 @@ TEST(Tracer, OneOwnerThreadPerBufferIsRaceFree) {
   // The tracer's concurrency contract: buffers are single-owner, the
   // Tracer aggregate queries take the registry mutex. Hammer N buffers
   // from N threads while a reader polls the totals — TSan (ctest -L
-  // trace under scripts/run_tsan.sh) proves the absence of data races.
+  // trace under `scripts/run_sanitizer.sh tsan`) proves the absence of
+  // data races.
   constexpr int kThreads = 4;
   constexpr int kSpans = 2000;
   Tracer tracer(8192);
