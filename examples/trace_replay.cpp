@@ -9,7 +9,8 @@
 //   ./build/examples/trace_replay [trace.csv | --scenario FILE]
 //
 // With a csv argument, the file is loaded instead of the synthesized
-// trace (one value column, or time_s,value rows).
+// trace (one value column, or time_s,value rows); an unreadable or
+// malformed file is reported on stderr with exit status 1.
 //
 // `--scenario FILE` replays one rack of a declarative scenario
 // (src/scenario/spec.hpp, examples/scenarios/): the rack shape, workload,
@@ -73,6 +74,8 @@ int replay_scenario(const std::string& path) {
 int main(int argc, char** argv) {
   using namespace sprintcon;
 
+  constexpr const char* kUsage =
+      "usage: trace_replay [trace.csv | --scenario FILE]\n";
   std::string csv_path;
   std::string scenario_path;
   for (int i = 1; i < argc; ++i) {
@@ -80,7 +83,10 @@ int main(int argc, char** argv) {
     if (arg == "--scenario" && i + 1 < argc) {
       scenario_path = argv[++i];
     } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "usage: trace_replay [trace.csv | --scenario FILE]\n";
+      std::cerr << kUsage;
+      return 1;
+    } else if (!csv_path.empty()) {
+      std::cerr << "only one trace.csv may be given\n" << kUsage;
       return 1;
     } else {
       csv_path = arg;
@@ -98,7 +104,12 @@ int main(int argc, char** argv) {
   // --- obtain a trace ---------------------------------------------------------
   workload::RecordedTrace trace;
   if (!csv_path.empty()) {
-    trace = workload::read_trace_csv_file(csv_path.c_str());
+    try {
+      trace = workload::read_trace_csv_file(csv_path.c_str());
+    } catch (const std::exception& e) {
+      std::cerr << "bad trace: " << e.what() << "\n";
+      return 1;
+    }
     std::cout << "loaded " << trace.samples.size() << " samples (dt="
               << trace.dt_s << " s) from " << csv_path << "\n";
   } else {

@@ -7,13 +7,15 @@
 #           (labels `obs` + `scenario`: event log / metrics / export unit
 #           tests plus the safety-event, observed-facility, span-tracer,
 #           windowed-metrics and health-monitor suites, the scenario
-#           loader/fuzzer, and the golden scenario replays — so every
-#           shipped scenario gets one replay under ASan)
+#           loader/fuzzer, the golden scenario replays — so every
+#           shipped scenario gets one replay under ASan — and the chaos
+#           soak)
 #   tsan    ThreadSanitizer over the concurrency-sensitive suites (label
 #           `threads`: the sharded facility, the shard determinism sweep,
 #           and the span tracer under the sharded runtime — trace_test's
 #           facility-with-tracing case drives per-worker TraceBuffers and
-#           the concurrent metric emitters from every shard)
+#           the concurrent metric emitters from every shard — and the
+#           chaos soak's sharded recovery fleet)
 #   ubsan   UndefinedBehaviorSanitizer over the FULL suite — including the
 #           `fault` chaos sweeps, the export fuzz harness, and the
 #           scenario spec fuzzer + golden scenario replays, whose whole
@@ -39,13 +41,13 @@ case "$FLAVOR" in
     CMAKE_FLAG=SPRINTCON_ASAN
     TARGETS=(obs_test safety_test facility_test export_fuzz_test
       trace_test windowed_metrics_test health_test
-      scenario_test scenario_fuzz_test golden_trace_test)
+      scenario_test scenario_fuzz_test golden_trace_test soak_test)
     CTEST_LABEL='obs|scenario'
     CTEST_PARALLEL=0
     ;;
   tsan)
     CMAKE_FLAG=SPRINTCON_TSAN
-    TARGETS=(facility_test facility_shard_test obs_test trace_test)
+    TARGETS=(facility_test facility_shard_test obs_test trace_test soak_test)
     CTEST_LABEL=threads
     CTEST_PARALLEL=0
     ;;

@@ -27,7 +27,6 @@ class PowerCapController : public sim::Component {
   PowerCapController(const core::SprintConfig& config, server::Rack& rack,
                      power::PowerPath& path);
 
-  std::string_view name() const override { return "power-cap"; }
   void step(const sim::SimClock& clock) override;
 
   /// The cap (the breaker's rated capacity).

@@ -52,7 +52,6 @@ class SgctController : public sim::Component {
                  power::PowerPath& path, SgctVariant variant,
                  double normal_freq = 0.5, double sprint_threshold = 0.5);
 
-  std::string_view name() const override { return "sgct"; }
   void step(const sim::SimClock& clock) override;
 
   SgctVariant variant() const noexcept { return variant_; }

@@ -209,15 +209,14 @@ void ServerPowerController::force_batch_frequency(double freq) {
 }
 
 void ServerPowerController::record_commanded_freq() {
-  if (obs_ == nullptr) return;
+  if (cmd_batch_freq_ == nullptr) return;
   // The DVFS writes above are the last word this controller has; anything
   // that later diverges from this gauge (a stuck actuator overwriting the
   // command, for instance) is an actuation fault the HealthMonitor can
   // catch by comparing against the realized batch frequencies.
   double sum = 0.0;
   for (const server::CpuCore* core : batch_) sum += core->freq();
-  obs_->metrics().gauge("control.cmd_batch_freq")
-      .set(sum / static_cast<double>(batch_.size()));
+  cmd_batch_freq_->set(sum / static_cast<double>(batch_.size()));
 }
 
 std::vector<BatchJobStatus> ServerPowerController::job_statuses(

@@ -76,6 +76,9 @@ class ServerPowerController {
   void set_obs(obs::ObsSink* sink) {
     obs_ = sink;
     mpc_.set_obs(sink);
+    cmd_batch_freq_ = sink != nullptr
+                          ? &sink->metrics().gauge("control.cmd_batch_freq")
+                          : nullptr;
   }
 
  private:
@@ -95,6 +98,7 @@ class ServerPowerController {
   control::MpcProblem problem_;  ///< reused across updates (no realloc)
   control::MpcOutput last_out_;
   obs::ObsSink* obs_ = nullptr;
+  obs::Gauge* cmd_batch_freq_ = nullptr;  ///< resolved by set_obs
   /// Publish the mean batch frequency this controller just commanded.
   void record_commanded_freq();
   /// PI-fallback control period (replaces the MPC solve + actuation).

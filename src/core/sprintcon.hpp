@@ -56,7 +56,6 @@ class SprintConController : public sim::Component {
   SprintConController(const SprintConfig& config, server::Rack& rack,
                       power::PowerPath& path);
 
-  std::string_view name() const override { return "sprintcon"; }
   void step(const sim::SimClock& clock) override;
 
   // --- observability (probes / tests) ------------------------------------
@@ -123,6 +122,15 @@ class SprintConController : public sim::Component {
 
   const fault::FaultInjector* fault_ = nullptr;
   obs::ObsSink* obs_ = nullptr;
+  /// Metric handles resolved by set_obs (the shortfall counter on first
+  /// use), so step() never looks a metric up by name.
+  struct ObsHandles {
+    obs::Gauge* p_total_w = nullptr;
+    obs::Gauge* p_meas_w = nullptr;
+    obs::Gauge* meter_residual_w = nullptr;
+    obs::Counter* ups_shortfall_j = nullptr;
+  };
+  ObsHandles met_;
   double prev_soc_ = -1.0;  ///< SOC at the previous tick (< 0 = unseen)
 };
 

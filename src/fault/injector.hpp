@@ -46,8 +46,6 @@ class FaultInjector : public sim::Component {
   FaultInjector(FaultPlan plan, std::uint64_t seed, server::Rack& rack,
                 power::PowerPath& path);
 
-  std::string_view name() const override { return "fault-injector"; }
-
   /// Pre-controller stage (see file comment). Step order matters: the Rig
   /// registers the injector after the rack and before the controller.
   void step(const sim::SimClock& clock) override;
@@ -107,7 +105,6 @@ class FaultActuatorStage : public sim::Component {
  public:
   explicit FaultActuatorStage(FaultInjector& injector)
       : injector_(injector) {}
-  std::string_view name() const override { return "fault-actuators"; }
   void step(const sim::SimClock& clock) override {
     injector_.post_tick(clock);
   }

@@ -77,6 +77,36 @@ class RigRecoveryTarget final : public recovery::RecoveryTarget {
   int quarantine_ = 0;
 };
 
+/// The rig's channel table: names in registration order, the RigSample
+/// field each records, and what the channel needs to exist.
+enum class Needs { kAlways, kFaults, kQueues };
+struct Channel {
+  const char* name;
+  double RigSample::*field;
+  Needs needs;
+};
+constexpr Channel kChannels[] = {
+    {"total_power_w", &RigSample::total_power_w, Needs::kAlways},
+    {"cb_power_w", &RigSample::cb_power_w, Needs::kAlways},
+    {"ups_power_w", &RigSample::ups_power_w, Needs::kAlways},
+    {"unserved_w", &RigSample::unserved_w, Needs::kAlways},
+    {"cb_budget_w", &RigSample::cb_budget_w, Needs::kAlways},
+    {"p_batch_target_w", &RigSample::p_batch_target_w, Needs::kAlways},
+    {"freq_interactive", &RigSample::freq_interactive, Needs::kAlways},
+    {"freq_batch", &RigSample::freq_batch, Needs::kAlways},
+    {"core_temp_max_c", &RigSample::core_temp_max_c, Needs::kAlways},
+    {"interactive_p95_latency_ms", &RigSample::interactive_p95_latency_ms,
+     Needs::kAlways},
+    {"battery_soc", &RigSample::battery_soc, Needs::kAlways},
+    {"cb_thermal_stress", &RigSample::cb_thermal_stress, Needs::kAlways},
+    {"breaker_open", &RigSample::breaker_open, Needs::kAlways},
+    {"fault_active", &RigSample::fault_active, Needs::kFaults},
+    {"battery_component_soc", &RigSample::battery_component_soc,
+     Needs::kAlways},
+    {"queue_backlog_mean", &RigSample::queue_backlog_mean, Needs::kQueues},
+    {"queue_response_ms", &RigSample::queue_response_ms, Needs::kQueues},
+};
+
 }  // namespace
 
 const char* to_string(Policy policy) noexcept {
@@ -243,34 +273,16 @@ Rig::Rig(const RigConfig& config) : config_(config) {
     if (sprintcon_) sprintcon_->set_obs(obs_.get());
     if (injector_) injector_->set_obs(obs_.get());
 
-    // Tick wall-time profiling: cumulative + sliding-window percentiles.
-    sim_->set_tick_obs(&obs_->metrics().histogram("sim.tick_us"),
-                       &obs_->metrics().windowed("sim.tick_us.window"));
-
-    // Per-tick derived health gauges + periodic window rotation. Runs
-    // after the actuator stage, so "realized" frequencies include any
-    // injected actuation fault — exactly what a real monitor would see.
-    sim_->add_post_tick_hook([this](const sim::SimClock& clock) {
-      auto& m = obs_->metrics();
-      if (!queues_.empty()) {
-        double t = 0.0;
-        for (const auto* q : queues_) t += q->response_time_s();
-        m.windowed("queue.response_ms.window")
-            .record(t / static_cast<double>(queues_.size()) * 1000.0);
-      }
-      const double cmd = m.gauge("control.cmd_batch_freq").value();
-      if (cmd > 0.0) {
-        double sum = 0.0;
-        const auto& refs = rack_->batch_cores();
-        for (const auto& ref : refs) sum += rack_->core(ref).freq();
-        const double realized =
-            refs.empty() ? 0.0 : sum / static_cast<double>(refs.size());
-        m.gauge("rig.batch_freq").set(realized);
-        m.gauge("rig.dvfs_divergence").set(std::abs(realized - cmd));
-      }
-      m.gauge("rig.battery_capacity_wh").set(path_->battery().capacity_wh());
-      if (clock.every(config_.metrics_window_s)) m.rotate_windows();
-    });
+    // Tick wall-time profiling (cumulative + sliding-window percentiles)
+    // and the handles monitor() writes every tick.
+    auto& m = obs_->metrics();
+    met_.tick_us = &m.histogram("sim.tick_us");
+    met_.tick_us_window = &m.windowed("sim.tick_us.window");
+    if (!queues_.empty()) {
+      met_.queue_response = &m.windowed("queue.response_ms.window");
+    }
+    met_.cmd_batch_freq = &m.gauge("control.cmd_batch_freq");
+    met_.battery_capacity_wh = &m.gauge("rig.battery_capacity_wh");
   }
 
   // --- health monitoring ------------------------------------------------------
@@ -322,11 +334,6 @@ Rig::Rig(const RigConfig& config) : config_(config) {
                        .metric = "power.ups_shortfall_j",
                        .reference = {},
                        .threshold = 150.0});
-    sim_->add_post_tick_hook([this](const sim::SimClock& clock) {
-      if (clock.every(config_.health_period_s)) {
-        health_->check(clock.now_s());
-      }
-    });
   }
 
   // --- recovery engine --------------------------------------------------------
@@ -337,16 +344,13 @@ Rig::Rig(const RigConfig& config) : config_(config) {
         obs_.get(), health_.get(), recovery_target_.get(),
         config.playbook.empty() ? recovery::Playbook::defaults()
                                 : config.playbook);
-    // Registered after the health hook, so every health check is followed
-    // by exactly one engine poll at the same simulated instant.
-    sim_->add_post_tick_hook([this](const sim::SimClock& clock) {
-      if (clock.every(config_.health_period_s)) {
-        recovery_->poll(clock.now_s());
-      }
-    });
   }
 
   // --- probes ------------------------------------------------------------------
+  // For a hybrid store, the wear analysis wants the *battery's* SOC, not
+  // the combined store's. The store type is fixed at construction, so
+  // resolve the downcast once instead of per tick.
+  hybrid_ = dynamic_cast<const power::HybridStore*>(&path_->battery());
   auto& rec = sim_->recorder();
   // Pre-size every channel for the run horizon so per-tick sampling never
   // reallocates (capped so a "never-ending" tick-driven rig, e.g. the
@@ -355,75 +359,103 @@ Rig::Rig(const RigConfig& config) : config_(config) {
       std::min<std::size_t>(
           static_cast<std::size_t>(config.duration_s / config.dt_s) + 2,
           std::size_t{1} << 20));
-  rec.add_probe("total_power_w", [this] { return rack_->total_power_w(); });
-  rec.add_probe("cb_power_w", [this] { return path_->last().cb_w; });
-  rec.add_probe("ups_power_w", [this] { return path_->last().ups_w; });
-  rec.add_probe("unserved_w", [this] { return path_->last().unserved_w; });
-  rec.add_probe("cb_budget_w", [this] {
-    if (sprintcon_) return sprintcon_->p_cb_effective_w();
-    if (cap_) return cap_->cap_w();
-    return sgct_->cb_target_at(sim_->clock().now_s());
-  });
-  rec.add_probe("p_batch_target_w", [this] {
-    return sprintcon_ ? sprintcon_->p_batch_w() : 0.0;
-  });
-  // The four per-core channels ride one fused O(num_cores) scan with
-  // batched appends instead of four independent passes (see
-  // Rack::telemetry for the bit-identity argument).
-  rec.add_probe_group(
-      {"freq_interactive", "freq_batch", "core_temp_max_c",
-       "interactive_p95_latency_ms"},
-      [this](double* out) {
-        const server::RackTelemetry t = rack_->telemetry();
-        out[0] = t.freq_interactive;
-        out[1] = t.freq_batch;
-        out[2] = t.core_temp_max_c;
-        out[3] = t.p95_latency_ms;
-      });
-  rec.add_probe("battery_soc",
-                [this] { return path_->battery().state_of_charge(); });
-  rec.add_probe("cb_thermal_stress",
-                [this] { return path_->breaker().thermal_stress(); });
-  rec.add_probe("breaker_open",
-                [this] { return path_->breaker().open() ? 1.0 : 0.0; });
-  if (injector_) {
-    rec.add_probe("fault_active", [this] {
-      return static_cast<double>(injector_->active_count());
-    });
+  std::vector<std::string> names;
+  for (const Channel& c : kChannels) {
+    if ((c.needs == Needs::kFaults && !injector_) ||
+        (c.needs == Needs::kQueues && queues_.empty())) {
+      continue;
+    }
+    names.emplace_back(c.name);
+    channels_.push_back(c.field);
   }
-  // For a hybrid store, the wear analysis wants the *battery's* SOC, not
-  // the combined store's. The store type is fixed at construction, so
-  // resolve the downcast once instead of per tick.
-  rec.add_probe(
-      "battery_component_soc",
-      [store = dynamic_cast<const power::HybridStore*>(&path_->battery()),
-       this] {
-        return store != nullptr ? store->battery().state_of_charge()
-                                : path_->battery().state_of_charge();
-      });
-  if (!queues_.empty()) {
-    rec.add_probe("queue_backlog_mean", [this] {
-      double b = 0.0;
-      for (const auto* q : queues_) b += q->backlog();
-      return b / static_cast<double>(queues_.size());
-    });
-    rec.add_probe("queue_response_ms", [this] {
-      double t = 0.0;
-      for (const auto* q : queues_) t += q->response_time_s();
-      return t / static_cast<double>(queues_.size()) * 1000.0;
-    });
-  }
+  rec.add_probe_group(std::move(names), [this](double* out) { sample(out); });
 }
 
 Rig::~Rig() = default;
 
+void Rig::sample(double* out) {
+  RigSample& s = sample_;
+  const power::PowerFlows& flows = path_->last();
+  s.total_power_w = rack_->total_power_w();
+  s.cb_power_w = flows.cb_w;
+  s.ups_power_w = flows.ups_w;
+  s.unserved_w = flows.unserved_w;
+  s.cb_budget_w = sprintcon_ ? sprintcon_->p_cb_effective_w()
+                  : cap_     ? cap_->cap_w()
+                             : sgct_->cb_target_at(sim_->clock().now_s());
+  s.p_batch_target_w = sprintcon_ ? sprintcon_->p_batch_w() : 0.0;
+  const server::RackTelemetry t = rack_->telemetry();
+  s.freq_interactive = t.freq_interactive;
+  s.freq_batch = t.freq_batch;
+  s.core_temp_max_c = t.core_temp_max_c;
+  s.interactive_p95_latency_ms = t.p95_latency_ms;
+  s.battery_soc = path_->battery().state_of_charge();
+  s.cb_thermal_stress = path_->breaker().thermal_stress();
+  s.breaker_open = path_->breaker().open() ? 1.0 : 0.0;
+  if (injector_) {
+    s.fault_active = static_cast<double>(injector_->active_count());
+  }
+  s.battery_component_soc = hybrid_ != nullptr
+                                ? hybrid_->battery().state_of_charge()
+                                : s.battery_soc;
+  if (!queues_.empty()) {
+    double backlog = 0.0, response_s = 0.0;
+    for (const auto* q : queues_) {
+      backlog += q->backlog();
+      response_s += q->response_time_s();
+    }
+    const auto n = static_cast<double>(queues_.size());
+    s.queue_backlog_mean = backlog / n;
+    s.queue_response_ms = response_s / n * 1000.0;
+  }
+  for (std::size_t i = 0; i < channels_.size(); ++i) out[i] = s.*channels_[i];
+}
+
+void Rig::monitor(const sim::SimClock& clock) {
+  // Runs after the actuator stage, so "realized" frequencies include any
+  // injected actuation fault — exactly what a real monitor would see.
+  if (met_.queue_response != nullptr) {
+    met_.queue_response->record(sample_.queue_response_ms);
+  }
+  const double cmd = met_.cmd_batch_freq->value();
+  if (cmd > 0.0) {
+    double sum = 0.0;
+    const auto& refs = rack_->batch_cores();
+    for (const auto& ref : refs) sum += rack_->core(ref).freq();
+    const double realized =
+        refs.empty() ? 0.0 : sum / static_cast<double>(refs.size());
+    if (met_.batch_freq == nullptr) {
+      met_.batch_freq = &obs_->metrics().gauge("rig.batch_freq");
+      met_.dvfs_divergence = &obs_->metrics().gauge("rig.dvfs_divergence");
+    }
+    met_.batch_freq->set(realized);
+    met_.dvfs_divergence->set(std::abs(realized - cmd));
+  }
+  met_.battery_capacity_wh->set(path_->battery().capacity_wh());
+  if (clock.every(config_.metrics_window_s)) obs_->metrics().rotate_windows();
+  // Every health check is followed by exactly one recovery poll at the
+  // same simulated instant.
+  if (health_ != nullptr && clock.every(config_.health_period_s)) {
+    health_->check(clock.now_s());
+    if (recovery_ != nullptr) recovery_->poll(clock.now_s());
+  }
+}
+
 void Rig::run() {
   if (ran_) return;
-  sim_->run_until(config_.duration_s);
+  run_until(config_.duration_s);
   ran_ = true;
 }
 
-void Rig::run_until(double t_s) { sim_->run_until(t_s); }
+void Rig::run_until(double t_s) {
+  const sim::SimClock& clock = sim_->clock();
+  SPRINTCON_EXPECTS(t_s >= clock.now_s(), "cannot run backwards");
+  while (clock.now_s() < t_s) {
+    const obs::ScopedTimer timer(met_.tick_us, met_.tick_us_window);
+    sim_->step_once();
+    if (obs_ != nullptr) monitor(clock);
+  }
+}
 
 metrics::RunSummary Rig::summary() const {
   metrics::RunSummary out;

@@ -6,15 +6,16 @@
 // for 15 minutes under a chosen sprinting policy, and extracts the metrics
 // and trace channels every figure of the paper is built from.
 //
-// Recorded channels (uniform 1-sample-per-tick):
-//   total_power_w, cb_power_w, ups_power_w, cb_budget_w, unserved_w,
-//   freq_interactive, freq_batch, battery_soc, cb_thermal_stress,
-//   p_batch_target_w, breaker_open
+// Recorded channels (uniform 1-sample-per-tick): one RigSample per tick,
+// named by the channel table kChannels in rig.cpp (registration order;
+// fault_active only with a fault plan, the queue_* channels only with
+// request queues).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "baselines/power_cap.hpp"
 #include "baselines/sgct.hpp"
@@ -130,6 +131,29 @@ struct RigConfig {
   void validate() const;
 };
 
+/// One tick of every channel a rig can record, filled in one pass after
+/// the clock advances. Field names are the channel names.
+struct RigSample {
+  double total_power_w = 0.0;
+  double cb_power_w = 0.0;
+  double ups_power_w = 0.0;
+  double unserved_w = 0.0;
+  double cb_budget_w = 0.0;
+  double p_batch_target_w = 0.0;
+  double freq_interactive = 0.0;
+  double freq_batch = 0.0;
+  double core_temp_max_c = 0.0;
+  double interactive_p95_latency_ms = 0.0;
+  double battery_soc = 0.0;
+  double cb_thermal_stress = 0.0;
+  double breaker_open = 0.0;
+  double fault_active = 0.0;
+  /// The battery's own SOC; differs from battery_soc for a hybrid store.
+  double battery_component_soc = 0.0;
+  double queue_backlog_mean = 0.0;
+  double queue_response_ms = 0.0;
+};
+
 /// Owns every component of one experiment and runs it to completion.
 class Rig {
  public:
@@ -141,10 +165,17 @@ class Rig {
 
   /// Run the whole sprint (idempotent: subsequent calls are no-ops).
   void run();
-  /// Advance partially (for tests that inspect mid-run state).
+  /// Advance partially (for tests that inspect mid-run state). Each tick
+  /// is one Simulation::step_once() followed, on an observed rig, by the
+  /// monitors: health gauges and metric windows, then the health check
+  /// and the recovery poll on their period. `sim.tick_us` times both.
   void run_until(double t_s);
 
   const RigConfig& config() const noexcept { return config_; }
+  /// The underlying simulation. Stepping it directly advances physics,
+  /// controllers and the recorder but skips the rig's monitors (and the
+  /// `sim.tick_us` timer), so only drive it from outside when obs() is
+  /// null.
   sim::Simulation& simulation() noexcept { return *sim_; }
   const sim::TraceRecorder& recorder() const { return sim_->recorder(); }
   server::Rack& rack() noexcept { return *rack_; }
@@ -188,6 +219,14 @@ class Rig {
   }
 
  private:
+  /// The recorder's one callback: fill sample_ from the components and
+  /// copy the registered channels into out[0..channels_.size()).
+  void sample(double* out);
+  /// Post-tick monitoring on an observed rig. Reads the rig and writes
+  /// metrics, events and controller modes — never physics, so recorded
+  /// traces stay bit-identical with observability off.
+  void monitor(const sim::SimClock& clock);
+
   RigConfig config_;
   std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<server::Rack> rack_;
@@ -202,6 +241,23 @@ class Rig {
   std::unique_ptr<obs::HealthMonitor> health_;
   std::unique_ptr<recovery::RecoveryTarget> recovery_target_;
   std::unique_ptr<recovery::RecoveryManager> recovery_;
+  /// Set when the store is a HybridStore (battery_component_soc).
+  const power::HybridStore* hybrid_ = nullptr;
+  RigSample sample_;
+  /// RigSample fields of the registered channels, in channel order.
+  std::vector<double RigSample::*> channels_;
+  /// Metric handles, resolved at construction (the two realized-frequency
+  /// gauges on the first commanded frequency, when they first exist).
+  struct MonitorHandles {
+    obs::Histogram* tick_us = nullptr;
+    obs::WindowedHistogram* tick_us_window = nullptr;
+    obs::WindowedHistogram* queue_response = nullptr;
+    obs::Gauge* cmd_batch_freq = nullptr;
+    obs::Gauge* battery_capacity_wh = nullptr;
+    obs::Gauge* batch_freq = nullptr;
+    obs::Gauge* dvfs_divergence = nullptr;
+  };
+  MonitorHandles met_;
   bool ran_ = false;
 };
 

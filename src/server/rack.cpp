@@ -28,18 +28,6 @@ double Rack::total_power_w() const {
   return sum;
 }
 
-double Rack::interactive_dynamic_w() const {
-  double sum = 0.0;
-  for (const Server& s : servers_) sum += s.interactive_dynamic_w();
-  return sum;
-}
-
-double Rack::batch_dynamic_w() const {
-  double sum = 0.0;
-  for (const Server& s : servers_) sum += s.batch_dynamic_w();
-  return sum;
-}
-
 CpuCore& Rack::core(const BatchCoreRef& ref) {
   SPRINTCON_EXPECTS(ref.server < servers_.size(), "server index out of range");
   auto& cores = servers_[ref.server].cores();
@@ -54,22 +42,9 @@ const CpuCore& Rack::core(const BatchCoreRef& ref) const {
   return cores[ref.core];
 }
 
-double Rack::mean_freq(CoreRole role) const {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const Server& s : servers_) {
-    const std::size_t count = s.count(role);
-    sum += s.mean_freq(role) * static_cast<double>(count);
-    n += count;
-  }
-  return n ? sum / static_cast<double>(n) : 0.0;
-}
-
 RackTelemetry Rack::telemetry() const {
-  // One pass over every core, replicating the arithmetic (and the FP
-  // evaluation order) of mean_freq(), the per-core temperature max, and
-  // the rig's historical p95-latency probe, so the fused scan records
-  // bit-identical samples.
+  // One pass over every core. The FP evaluation order below is what the
+  // recorded traces (and the goldens) were produced with; keep it.
   const workload::LatencyModel latency;
   // Exactly the -ln(1 - p) factor percentile_response_s(p = 0.95) applies
   // to the mean; hoisted so the scan pays one log per program, not one
@@ -86,9 +61,8 @@ RackTelemetry Rack::telemetry() const {
   std::size_t p95_n = 0;
   for (const Server& s : servers_) {
     const bool powered = s.powered();
-    // Per-server accumulation mirrors Server::mean_freq: sum then divide,
-    // then re-weight by the core count (the double round-trip matters for
-    // bit-identity with the historical two-probe path).
+    // Per-server mean re-weighted by the core count: sum, divide, then
+    // multiply back (the round-trip is part of the recorded arithmetic).
     double s_inter = 0.0, s_batch = 0.0;
     std::size_t s_inter_n = 0, s_batch_n = 0;
     for (const CpuCore& c : s.cores()) {

@@ -16,10 +16,9 @@ struct BatchCoreRef {
   std::size_t core = 0;
 };
 
-/// Per-tick telemetry the recorder samples, produced by ONE pass over the
-/// rack's cores (fusing what used to be four independent O(num_cores)
-/// probe scans). Field semantics match the historical probes exactly:
-/// powered-off servers report frequency 0 and saturated request latency.
+/// Per-tick telemetry the recorder samples, produced by one pass over the
+/// rack's cores: powered-off servers report frequency 0 and saturated
+/// request latency.
 struct RackTelemetry {
   double freq_interactive = 0.0;  ///< rack-mean normalized frequency
   double freq_batch = 0.0;
@@ -34,7 +33,6 @@ class Rack : public sim::Component {
  public:
   explicit Rack(std::vector<Server> servers);
 
-  std::string_view name() const override { return "rack"; }
   void step(const sim::SimClock& clock) override;
 
   std::vector<Server>& servers() noexcept { return servers_; }
@@ -44,11 +42,6 @@ class Rack : public sim::Component {
   /// power monitor of the paper reads this).
   double total_power_w() const;
 
-  /// Ground-truth dynamic power by class (diagnostics/metrics only; the
-  /// controller must *not* read these — it works from Eq. 6).
-  double interactive_dynamic_w() const;
-  double batch_dynamic_w() const;
-
   /// All batch cores in a stable order.
   const std::vector<BatchCoreRef>& batch_cores() const noexcept {
     return batch_refs_;
@@ -56,12 +49,9 @@ class Rack : public sim::Component {
   CpuCore& core(const BatchCoreRef& ref);
   const CpuCore& core(const BatchCoreRef& ref) const;
 
-  /// Rack-mean normalized frequency by class (powered-off servers count 0).
-  double mean_freq(CoreRole role) const;
-
-  /// Fused telemetry scan: all of mean_freq(both roles), the hottest core
-  /// temperature, and the rack-mean p95 request latency in a single pass.
-  /// Bit-identical to calling the individual accessors.
+  /// Telemetry scan: the rack-mean normalized frequency of each class
+  /// (powered-off servers count 0), the hottest core temperature, and the
+  /// rack-mean p95 request latency in a single pass.
   RackTelemetry telemetry() const;
 
   /// Power every server on/off (UPS exhaustion outage).

@@ -51,14 +51,6 @@ class Server {
   /// all progress; powering on resumes with the previous DVFS settings.
   void set_powered(bool on) noexcept { powered_ = on; }
 
-  /// Mean utilization over the server's interactive cores (the physical
-  /// utilization monitor feeding Eq. 5); 0 if it has none or is off.
-  double interactive_utilization() const;
-
-  /// Mean normalized frequency by class, as seen by the frequency metric:
-  /// a powered-off server reports 0 (the collapse in Fig. 5(b)).
-  double mean_freq(CoreRole role) const;
-
   std::size_t count(CoreRole role) const;
 
  private:

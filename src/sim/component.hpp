@@ -1,8 +1,6 @@
 // Component interface for the synchronous simulation loop.
 #pragma once
 
-#include <string_view>
-
 namespace sprintcon::sim {
 
 class SimClock;
@@ -15,9 +13,6 @@ class SimClock;
 class Component {
  public:
   virtual ~Component() = default;
-
-  /// Stable diagnostic name.
-  virtual std::string_view name() const = 0;
 
   /// Advance internal state from clock.now_s() to now_s() + dt.
   virtual void step(const SimClock& clock) = 0;

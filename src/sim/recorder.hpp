@@ -1,15 +1,16 @@
-// Trace recording: named probes sampled once per simulation tick.
+// Trace recording: named channels sampled once per simulation tick.
 //
-// Probes are arbitrary callables (typically lambdas reading component
-// state); the recorder turns them into TimeSeries that the metrics layer
-// and the figure-reproduction benches consume.
+// A probe is one callback that fills a contiguous group of channels; the
+// recorder turns every channel into a TimeSeries that the metrics layer
+// and the figure-reproduction benches consume. A rig registers exactly
+// one group covering its whole channel set (scenario/rig.cpp), so a tick
+// costs one call; add_probe() is the one-channel case.
 //
 // Hot-path notes (the recorder runs once per simulated tick):
 //  * reserve_horizon() pre-sizes every channel vector (and the name->index
 //    map) from the run length, so steady-state sampling never allocates.
-//  * add_probe_group() registers several channels filled by ONE callback —
-//    the scenario layer uses it to fuse what used to be four separate
-//    O(num_cores) scans into a single pass with batched appends.
+//  * every probe writes into one row buffer sized at registration, which
+//    sample() then appends channel by channel.
 #pragma once
 
 #include <cstddef>
@@ -23,18 +24,13 @@
 
 namespace sprintcon::sim {
 
-class SimClock;
-
-/// Collects one TimeSeries per registered probe.
+/// Collects one TimeSeries per registered channel.
 class TraceRecorder {
  public:
-  /// Widest probe group sample() can buffer on the stack.
-  static constexpr std::size_t kMaxGroupChannels = 16;
-
   /// @param dt_s sampling interval; must equal the simulation step.
   explicit TraceRecorder(double dt_s);
 
-  /// Register a probe. Names must be unique.
+  /// Register a one-channel probe. Names must be unique.
   void add_probe(std::string name, std::function<double()> probe);
 
   /// Register a group of channels produced by one callback: each tick the
@@ -45,7 +41,7 @@ class TraceRecorder {
 
   /// Pre-size every channel vector (current and future) for a run of
   /// `expected_samples` ticks, and the name->index map for
-  /// `expected_channels` probes, so steady-state sampling never grows a
+  /// `expected_channels` channels, so steady-state sampling never grows a
   /// container. Callable any time; growth past the reservation is safe.
   void reserve_horizon(std::size_t expected_samples,
                        std::size_t expected_channels = 24);
@@ -69,26 +65,19 @@ class TraceRecorder {
     }
   };
 
-  struct ScalarProbe {
-    std::size_t series_index;
-    std::function<double()> fn;
-  };
-  struct GroupProbe {
+  struct Probe {
     std::size_t first_series;
-    std::size_t count;
     std::function<void(double*)> fn;
   };
 
-  std::size_t register_channel(std::string name);
-
   double dt_s_;
   std::size_t expected_samples_ = 0;
-  std::vector<ScalarProbe> probes_;
-  std::vector<GroupProbe> groups_;
+  std::vector<Probe> probes_;
   std::vector<TimeSeries> series_;
-  /// name -> index into series_; rigs register dozens of probes and the
-  /// metrics layer queries them by name per summary field, so lookups are
-  /// O(1) instead of a linear scan over the channels.
+  /// One tick's values, one slot per channel; probes write their slice.
+  std::vector<double> row_;
+  /// name -> index into series_; the metrics layer queries channels by
+  /// name per summary field, so lookups are O(1) instead of a linear scan.
   std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
       index_;
 };

@@ -2,7 +2,6 @@
 
 #include "common/attributes.hpp"
 #include "common/validation.hpp"
-#include "obs/sink.hpp"
 
 namespace sprintcon::sim {
 
@@ -12,17 +11,10 @@ void Simulation::add(Component& component) {
   components_.push_back(&component);
 }
 
-void Simulation::add_post_tick_hook(std::function<void(const SimClock&)> hook) {
-  SPRINTCON_EXPECTS(static_cast<bool>(hook), "hook must be callable");
-  hooks_.push_back(std::move(hook));
-}
-
 SPRINTCON_HOT void Simulation::step_once() {
-  const obs::ScopedTimer timer(tick_hist_, tick_window_);
   for (Component* c : components_) c->step(clock_);
   clock_.advance();
   recorder_.sample();
-  for (const auto& hook : hooks_) hook(clock_);
 }
 
 void Simulation::run_until(double t_end_s) {

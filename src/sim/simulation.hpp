@@ -1,17 +1,11 @@
 // Synchronous fixed-step simulation driver.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "sim/clock.hpp"
 #include "sim/component.hpp"
 #include "sim/recorder.hpp"
-
-namespace sprintcon::obs {
-class Histogram;
-class WindowedHistogram;
-}  // namespace sprintcon::obs
 
 namespace sprintcon::sim {
 
@@ -32,23 +26,9 @@ class Simulation {
   /// Register a component; stepped in registration order.
   void add(Component& component);
 
-  /// Register a hook invoked after all components each tick (e.g. safety
-  /// checks or assertions in tests).
-  void add_post_tick_hook(std::function<void(const SimClock&)> hook);
-
-  /// Attach wall-time tick profiling: every step_once() records its
-  /// duration (µs) into `hist` and, if given, the sliding-window twin.
-  /// Null detaches; detached ticks cost one branch.
-  void set_tick_obs(obs::Histogram* hist,
-                    obs::WindowedHistogram* windowed = nullptr) noexcept {
-    tick_hist_ = hist;
-    tick_window_ = windowed;
-  }
-
-  /// Advance exactly one tick: step components in order, advance the
-  /// clock, sample the recorder.
-  /// One tick: components, clock, recorder, post-tick hooks. Hot path
-  /// (SPRINTCON_HOT): no direct heap allocation or dynamic_cast.
+  /// One tick: step components in order, advance the clock, sample the
+  /// recorder. Hot path (SPRINTCON_HOT): no direct heap allocation or
+  /// dynamic_cast.
   void step_once();
 
   /// Run until clock.now_s() >= t_end_s.
@@ -58,9 +38,6 @@ class Simulation {
   SimClock clock_;
   TraceRecorder recorder_;
   std::vector<Component*> components_;
-  std::vector<std::function<void(const SimClock&)>> hooks_;
-  obs::Histogram* tick_hist_ = nullptr;
-  obs::WindowedHistogram* tick_window_ = nullptr;
 };
 
 }  // namespace sprintcon::sim

@@ -9,6 +9,7 @@
 // the same bits, not similar trajectories.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -145,22 +146,36 @@ TEST(FacilityShard, InvalidEpochThrows) {
 // Worker supervision: fail-fast vs degrade
 // ---------------------------------------------------------------------------
 
+/// A component that throws from inside the rig's tick loop once simulated
+/// time reaches `t_fail_s`, blowing up the rig's owning worker.
+class FailAt final : public sim::Component {
+ public:
+  explicit FailAt(double t_fail_s) : t_fail_s_(t_fail_s) {}
+  void step(const sim::SimClock& clock) override {
+    if (clock.now_s() >= t_fail_s_) {
+      throw std::runtime_error("injected rig failure");
+    }
+  }
+
+ private:
+  double t_fail_s_;
+};
+
 /// Make rack `r` blow up its owning worker once simulated time passes
-/// `t_fail_s` (the hook throws from inside the rig's tick loop).
-void arm_failure(Facility& facility, std::size_t r, double t_fail_s) {
-  facility.rig(r).simulation().add_post_tick_hook(
-      [t_fail_s](const sim::SimClock& clock) {
-        if (clock.now_s() >= t_fail_s) {
-          throw std::runtime_error("injected rig failure");
-        }
-      });
+/// `t_fail_s`; the caller keeps the returned component alive for the run.
+[[nodiscard]] std::unique_ptr<FailAt> arm_failure(Facility& facility,
+                                                  std::size_t r,
+                                                  double t_fail_s) {
+  auto failure = std::make_unique<FailAt>(t_fail_s);
+  facility.rig(r).simulation().add(*failure);
+  return failure;
 }
 
 TEST(FacilityWorkerFailure, FailFastStillRethrowsByDefault) {
   FacilityConfig cfg = sweep_config(4, 2, false, true);
   ASSERT_EQ(cfg.worker_failure, WorkerFailurePolicy::kFailFast);
   Facility facility(cfg);
-  arm_failure(facility, 0, 40.0);
+  const auto failure = arm_failure(facility, 0, 40.0);
   EXPECT_THROW(facility.run(), std::runtime_error);
   // The error is still fully accounted even though it rethrew.
   ASSERT_EQ(facility.worker_errors().size(), 1u);
@@ -178,7 +193,7 @@ TEST(FacilityWorkerFailure, DegradePolicyCompletesOnSurvivors) {
   Facility facility(cfg);
   // Worker 0 owns racks {0, 1}; blowing up rack 0 in epoch 1 takes the
   // whole shard out of service.
-  arm_failure(facility, 0, 40.0);
+  const auto failure = arm_failure(facility, 0, 40.0);
   EXPECT_NO_THROW(facility.run());
 
   EXPECT_TRUE(facility.rack_failed(0));
@@ -221,8 +236,8 @@ TEST(FacilityWorkerFailure, MultipleWorkerFailuresAllCounted) {
   FacilityConfig cfg = sweep_config(4, 4, false, true);
   cfg.worker_failure = WorkerFailurePolicy::kDegrade;
   Facility facility(cfg);
-  arm_failure(facility, 1, 35.0);
-  arm_failure(facility, 3, 35.0);
+  const auto failure1 = arm_failure(facility, 1, 35.0);
+  const auto failure3 = arm_failure(facility, 3, 35.0);
   EXPECT_NO_THROW(facility.run());
 
   EXPECT_EQ(facility.num_failed_racks(), 2u);
@@ -240,7 +255,7 @@ TEST(FacilityWorkerFailure, SequentialDegradeLosesTheSingleShard) {
   FacilityConfig cfg = sweep_config(2, 1, false, true);
   cfg.worker_failure = WorkerFailurePolicy::kDegrade;
   Facility facility(cfg);
-  arm_failure(facility, 0, 40.0);
+  const auto failure = arm_failure(facility, 0, 40.0);
   EXPECT_NO_THROW(facility.run());
   // One worker owns everything, so everything is lost — but run() still
   // completes and reports instead of throwing.

@@ -21,16 +21,30 @@ TEST(Integration, SprintConNeverTripsTheBreaker) {
   EXPECT_LT(rig.summary().outage_start_s, 0.0);
 }
 
+/// Safety invariant, checked every tick: power through the breaker never
+/// exceeds the current CB budget by more than the one-period control lag.
+/// Steps after the actuator stage, so it sees this tick's settled flows.
+class CbBudgetCheck final : public sim::Component {
+ public:
+  explicit CbBudgetCheck(Rig& rig) : rig_(rig) {}
+  void step(const sim::SimClock&) override {
+    const double cb = rig_.power_path().last().cb_w;
+    const double budget = rig_.sprintcon()->p_cb_effective_w();
+    ASSERT_LE(cb, budget + 130.0);
+    ++ticks;
+  }
+  int ticks = 0;
+
+ private:
+  Rig& rig_;
+};
+
 TEST(Integration, SprintConCbPowerRespectsBudget) {
   Rig rig(paper_rig(Policy::kSprintCon));
-  // Safety invariant, checked every tick: power through the breaker never
-  // exceeds the current CB budget by more than the one-period control lag.
-  rig.simulation().add_post_tick_hook([&rig](const sim::SimClock&) {
-    const double cb = rig.power_path().last().cb_w;
-    const double budget = rig.sprintcon()->p_cb_effective_w();
-    ASSERT_LE(cb, budget + 130.0);
-  });
+  CbBudgetCheck check(rig);
+  rig.simulation().add(check);
   rig.run();
+  EXPECT_EQ(check.ticks, 900);
 }
 
 TEST(Integration, SprintConKeepsInteractiveAtPeak) {

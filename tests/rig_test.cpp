@@ -1,7 +1,11 @@
 // Tests for the scenario rig construction and bookkeeping.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
+#include "fault/fault.hpp"
 #include "scenario/rig.hpp"
 
 namespace sprintcon::scenario {
@@ -44,15 +48,86 @@ TEST(Rig, SgctPolicyInstantiatesBaseline) {
   EXPECT_EQ(rig.sgct()->variant(), baselines::SgctVariant::kV2);
 }
 
+/// The two rig shapes whose channel sets differ from the plain rig's.
+RigConfig with_faults(RigConfig cfg) {
+  cfg.faults = fault::FaultPlan::parse_string(
+      "meter_noise start=10 duration=60 magnitude=0.05\n"
+      "dvfs_stuck start=30 duration=60\n"
+      "ups_fade start=40 magnitude=0.5\n");
+  return cfg;
+}
+RigConfig with_queues(RigConfig cfg) {
+  cfg.use_request_queues = true;
+  return cfg;
+}
+
 TEST(Rig, RecordsAllStandardChannels) {
-  Rig rig(tiny());
-  rig.run();
-  for (const char* name :
-       {"total_power_w", "cb_power_w", "ups_power_w", "cb_budget_w",
-        "p_batch_target_w", "freq_interactive", "freq_batch", "battery_soc",
-        "cb_thermal_stress", "breaker_open", "unserved_w"}) {
-    EXPECT_TRUE(rig.recorder().has(name)) << name;
-    EXPECT_EQ(rig.recorder().series(name).size(), 120u) << name;
+  // The full channel set in registration order, for each rig shape.
+  const std::vector<std::string> head = {
+      "total_power_w",    "cb_power_w",        "ups_power_w",
+      "unserved_w",       "cb_budget_w",       "p_batch_target_w",
+      "freq_interactive", "freq_batch",        "core_temp_max_c",
+      "interactive_p95_latency_ms",            "battery_soc",
+      "cb_thermal_stress", "breaker_open"};
+  const auto with_tail = [&head](std::vector<std::string> tail) {
+    std::vector<std::string> all = head;
+    all.insert(all.end(), tail.begin(), tail.end());
+    return all;
+  };
+  const struct {
+    const char* label;
+    RigConfig config;
+    std::vector<std::string> channels;
+  } cases[] = {
+      {"plain", tiny(), with_tail({"battery_component_soc"})},
+      {"faults", with_faults(tiny()),
+       with_tail({"fault_active", "battery_component_soc"})},
+      {"queues", with_queues(tiny()),
+       with_tail({"battery_component_soc", "queue_backlog_mean",
+                  "queue_response_ms"})},
+  };
+  for (const auto& c : cases) {
+    Rig rig(c.config);
+    rig.run();
+    EXPECT_EQ(rig.recorder().channel_names(), c.channels) << c.label;
+    for (const std::string& name : c.channels) {
+      EXPECT_EQ(rig.recorder().series(name).size(), 120u)
+          << c.label << " " << name;
+    }
+  }
+}
+
+TEST(Rig, MonitoringNeverTouchesPhysics) {
+  // Health gauges, metric windows and health checks read the rig and
+  // write metrics and events only: every recorded channel of a watched
+  // rig equals the same rig with observability off, bit for bit.
+  const RigConfig canonical;
+  const struct {
+    const char* label;
+    RigConfig config;
+  } cases[] = {{"canonical", canonical},
+               {"faults", with_faults(canonical)},
+               {"queues", with_queues(canonical)}};
+  for (const auto& c : cases) {
+    RigConfig watched_config = c.config;
+    watched_config.health = true;
+    Rig watched(watched_config);
+    Rig plain(c.config);
+    watched.run();
+    plain.run();
+    ASSERT_NE(watched.health(), nullptr) << c.label;
+    ASSERT_EQ(plain.obs(), nullptr) << c.label;
+    // The monitors ran: every tick was timed and health was checked.
+    const obs::MetricsSnapshot snap = watched.obs()->metrics().snapshot();
+    EXPECT_EQ(snap.histograms.at("sim.tick_us").count, 900u) << c.label;
+    EXPECT_EQ(snap.gauges.count("health.active_alerts"), 1u) << c.label;
+    const std::vector<std::string> names = plain.recorder().channel_names();
+    ASSERT_EQ(watched.recorder().channel_names(), names) << c.label;
+    for (const std::string& name : names) {
+      EXPECT_EQ(watched.recorder().series(name).values(),
+                plain.recorder().series(name).values())
+          << c.label << " " << name;
+    }
   }
 }
 

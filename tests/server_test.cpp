@@ -212,14 +212,18 @@ TEST(Server, PowerSplitsByClass) {
 
 TEST(Server, PoweredOffConsumesNothingAndHaltsProgress) {
   const PlatformSpec spec = paper_platform();
-  Server server = make_server(spec);
+  std::vector<Server> servers;
+  servers.push_back(make_server(spec));
+  Rack rack(std::move(servers));
+  Server& server = rack.servers().front();
   server.step(1.0, 0.0);
   const double progress =
       server.cores().back().job()->progress();
   server.set_powered(false);
   server.step(1.0, 1.0);
   EXPECT_DOUBLE_EQ(server.power_w(), 0.0);
-  EXPECT_DOUBLE_EQ(server.mean_freq(CoreRole::kBatch), 0.0);
+  // The frequency metric sees a dark server at 0 (the Fig. 5(b) collapse).
+  EXPECT_DOUBLE_EQ(rack.telemetry().freq_batch, 0.0);
   EXPECT_DOUBLE_EQ(server.cores().back().job()->progress(), progress);
 }
 
@@ -266,16 +270,16 @@ TEST(Rack, EnumeratesBatchCores) {
 
 TEST(Rack, MeanFreqByRole) {
   Rack rack = make_rack(2);
-  EXPECT_DOUBLE_EQ(rack.mean_freq(CoreRole::kInteractive), 1.0);
-  EXPECT_DOUBLE_EQ(rack.mean_freq(CoreRole::kBatch), 0.2);
+  EXPECT_DOUBLE_EQ(rack.telemetry().freq_interactive, 1.0);
+  EXPECT_DOUBLE_EQ(rack.telemetry().freq_batch, 0.2);
 }
 
 TEST(Rack, ForEachCoreAppliesByRole) {
   Rack rack = make_rack(2);
   rack.for_each_core(CoreRole::kBatch,
                      [](CpuCore& c) { c.set_freq(0.7); });
-  EXPECT_NEAR(rack.mean_freq(CoreRole::kBatch), 0.7, 1e-12);
-  EXPECT_DOUBLE_EQ(rack.mean_freq(CoreRole::kInteractive), 1.0);
+  EXPECT_NEAR(rack.telemetry().freq_batch, 0.7, 1e-12);
+  EXPECT_DOUBLE_EQ(rack.telemetry().freq_interactive, 1.0);
 }
 
 TEST(Rack, PowerOffAll) {

@@ -9,7 +9,6 @@ namespace {
 
 class Counter : public Component {
  public:
-  std::string_view name() const override { return "counter"; }
   void step(const SimClock& clock) override {
     ++steps;
     last_time = clock.now_s();
@@ -73,14 +72,6 @@ TEST(Simulation, RecorderSamplesEachTick) {
   EXPECT_DOUBLE_EQ(ts[3], 4.0);
 }
 
-TEST(Simulation, PostTickHookRuns) {
-  Simulation sim(1.0);
-  int hooks = 0;
-  sim.add_post_tick_hook([&hooks](const SimClock&) { ++hooks; });
-  sim.run_until(3.0);
-  EXPECT_EQ(hooks, 3);
-}
-
 TEST(Simulation, RunBackwardsThrows) {
   Simulation sim(1.0);
   sim.run_until(2.0);
@@ -107,6 +98,28 @@ TEST(Recorder, ChannelEnumeration) {
   EXPECT_FALSE(rec.has("c"));
   EXPECT_EQ(rec.channel_names().size(), 2u);
   EXPECT_EQ(rec.all_series().size(), 2u);
+}
+
+TEST(Recorder, GroupFillsItsChannelsInRegistrationOrder) {
+  TraceRecorder rec(1.0);
+  int calls = 0;
+  rec.add_probe("first", [] { return 1.0; });
+  rec.add_probe_group({"a", "b", "c"}, [&calls](double* out) {
+    ++calls;
+    out[0] = 10.0;
+    out[1] = 20.0;
+    out[2] = 30.0;
+  });
+  rec.add_probe("last", [] { return 2.0; });
+  rec.sample();
+  rec.sample();
+  EXPECT_EQ(calls, 2);  // one callback per tick for the whole group
+  EXPECT_EQ(rec.channel_names(),
+            (std::vector<std::string>{"first", "a", "b", "c", "last"}));
+  EXPECT_EQ(rec.series("b").values(), (std::vector<double>{20.0, 20.0}));
+  EXPECT_DOUBLE_EQ(rec.series("last")[1], 2.0);
+  EXPECT_THROW(rec.add_probe_group({"d", "a"}, [](double*) {}),
+               sprintcon::InvalidArgumentError);
 }
 
 TEST(Recorder, IndexedLookupSurvivesManyProbes) {

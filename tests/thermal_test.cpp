@@ -134,7 +134,7 @@ TEST(ThermalGuard, BacksOffHotCores) {
   // The guard must keep the cores out of the critical region.
   EXPECT_LT(max_temp, ThermalSpec{}.critical_temp_c + 2.0);
   // And the batch cores cannot be running at peak.
-  EXPECT_LT(rack->mean_freq(CoreRole::kBatch), 0.99);
+  EXPECT_LT(rack->telemetry().freq_batch, 0.99);
 }
 
 TEST(ThermalGuard, DisabledGuardLetsCoresOverheat) {
