@@ -29,17 +29,17 @@ std::unique_ptr<server::Rack> rack_with_gain_error(double cubic_share) {
   const auto profiles = workload::spec2006_profiles();
   std::size_t pi = 0;
   for (std::size_t s = 0; s < 4; ++s) {
-    std::vector<server::CpuCore> cores;
+    std::vector<server::CoreSpec> cores;
     for (std::size_t c = 0; c < spec.cores_per_server; ++c) {
       if (c < 4) {
-        cores.emplace_back(spec.freq_min, spec.freq_max,
-                           workload::InteractiveTraceGenerator(
-                               workload::InteractiveTraceConfig{}, rng.split()));
+        cores.push_back({spec.freq_min, spec.freq_max,
+                         workload::InteractiveTraceGenerator(
+                             workload::InteractiveTraceConfig{}, rng.split())});
       } else {
-        cores.emplace_back(spec.freq_min, spec.freq_max,
-                           std::make_unique<workload::BatchJob>(
-                               profiles[pi++ % profiles.size()], 900.0, 1e6,
-                               workload::CompletionMode::kRunOnce, rng.split()));
+        cores.push_back({spec.freq_min, spec.freq_max,
+                         workload::BatchJob(
+                             profiles[pi++ % profiles.size()], 900.0, 1e6,
+                             workload::CompletionMode::kRunOnce, rng.split())});
       }
     }
     servers.emplace_back(spec, std::move(cores), rng.split());

@@ -28,17 +28,17 @@ std::unique_ptr<server::Rack> batch_rack() {
   const auto profiles = workload::spec2006_profiles();
   std::size_t pi = 0;
   for (std::size_t s = 0; s < 4; ++s) {
-    std::vector<server::CpuCore> cores;
+    std::vector<server::CoreSpec> cores;
     for (std::size_t c = 0; c < spec.cores_per_server; ++c) {
       if (c < 4) {
-        cores.emplace_back(spec.freq_min, spec.freq_max,
-                           workload::InteractiveTraceGenerator(
-                               workload::InteractiveTraceConfig{}, rng.split()));
+        cores.push_back({spec.freq_min, spec.freq_max,
+                         workload::InteractiveTraceGenerator(
+                             workload::InteractiveTraceConfig{}, rng.split())});
       } else {
-        cores.emplace_back(spec.freq_min, spec.freq_max,
-                           std::make_unique<workload::BatchJob>(
-                               profiles[pi++ % profiles.size()], 720.0, 380.0,
-                               workload::CompletionMode::kRunOnce, rng.split()));
+        cores.push_back({spec.freq_min, spec.freq_max,
+                         workload::BatchJob(
+                             profiles[pi++ % profiles.size()], 720.0, 380.0,
+                             workload::CompletionMode::kRunOnce, rng.split())});
       }
     }
     servers.emplace_back(spec, std::move(cores), rng.split());
@@ -104,8 +104,11 @@ Outcome run_pi(double target_w) {
   pid.output_min = 0.2;
   pid.output_max = 1.0;
   control::PiController pi(pid);
-  rack->for_each_core(server::CoreRole::kInteractive,
-                      [](server::CpuCore& c) { c.set_freq(c.freq_max()); });
+  for (server::Server& s : rack->servers()) {
+    for (const std::uint32_t c : s.interactive_cores()) {
+      s.set_freq(c, s.freq_max(c));
+    }
+  }
 
   sim::SimClock clock(1.0);
   double sq_err = 0.0;
@@ -115,16 +118,20 @@ Outcome run_pi(double target_w) {
     // Same feedback signal the MPC uses (Eq. 6).
     double p_inter = 0.0;
     for (const auto& s : rack->servers()) {
-      for (const auto& c : s.cores()) {
-        if (!c.is_batch()) p_inter += model.interactive_power_w(c.utilization());
+      for (const std::uint32_t c : s.interactive_cores()) {
+        p_inter += model.interactive_power_w(s.utilization(c));
       }
     }
     const double p_fb = std::max(0.0, rack->total_power_w() - p_inter);
     if (clock.every(2.0)) {
       const double f = pi.step(target_w, p_fb, 2.0);
-      rack->for_each_core(server::CoreRole::kBatch, [f](server::CpuCore& c) {
-        c.set_freq(c.job()->completed() ? c.freq_min() : f);
-      });
+      for (server::Server& s : rack->servers()) {
+        const auto jobs = s.jobs();
+        const auto batch = s.batch_cores();
+        for (std::size_t k = 0; k < batch.size(); ++k) {
+          s.set_freq(batch[k], jobs[k].completed() ? s.freq_min(batch[k]) : f);
+        }
+      }
     }
     if (t > 30 && t < 350) {
       const double e = p_fb - target_w;

@@ -2,7 +2,8 @@
 //
 // These quantify the runtime cost of the control stack itself — the MPC
 // solve that would run every 2 s on a rack controller, the eigenvalue
-// analysis, and full simulation throughput.
+// analysis, the server physics of one rack tick, and full simulation
+// throughput.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "control/mpc.hpp"
 #include "scenario/facility.hpp"
 #include "scenario/rig.hpp"
+#include "sim/clock.hpp"
 
 namespace {
 
@@ -188,6 +190,31 @@ BENCHMARK(BM_FacilityScaling)
     ->Args({10000, 0})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// Server physics alone: Rack::step on the canonical 16 x 8-core rack, the
+// kernel behind perfbench's server.* layer, as BM_MpcStep is the solver's.
+// The clock stays inside the 900 s sprint horizon; at the horizon a fresh
+// rig is built outside the timed region.
+void BM_RackStep(benchmark::State& state) {
+  const scenario::RigConfig config;
+  auto rig = std::make_unique<scenario::Rig>(config);
+  sim::SimClock clock(config.dt_s);
+  for (auto _ : state) {
+    rig->rack().step(clock);
+    benchmark::ClobberMemory();
+    clock.advance();
+    if (clock.now_s() >= config.duration_s) {
+      state.PauseTiming();
+      rig = std::make_unique<scenario::Rig>(config);
+      clock = sim::SimClock(config.dt_s);
+      state.ResumeTiming();
+    }
+  }
+  benchmark::DoNotOptimize(rig->rack().total_power_w());
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel("rack-ticks (16 servers / 128 cores)");
+}
+BENCHMARK(BM_RackStep)->UseRealTime();
 
 void BM_RigTick(benchmark::State& state) {
   scenario::RigConfig config;

@@ -8,7 +8,6 @@
 //
 //   ./build/examples/custom_rack
 #include <iostream>
-#include <memory>
 
 #include "common/rng.hpp"
 #include "core/sprintcon.hpp"
@@ -28,20 +27,20 @@ int main() {
   const auto profiles = workload::spec2006_profiles();
   std::size_t profile_index = 0;
   for (std::size_t s = 0; s < kServers; ++s) {
-    std::vector<server::CpuCore> cores;
+    std::vector<server::CoreSpec> cores;
     for (std::size_t c = 0; c < spec.cores_per_server; ++c) {
       if (c < 6) {
         workload::InteractiveTraceConfig trace;
         trace.mean_utilization = 0.7;  // front-end rack runs hotter
-        cores.emplace_back(spec.freq_min, spec.freq_max,
-                           workload::InteractiveTraceGenerator(
-                               trace, rng.split(), 17.0 * double(s)));
+        cores.push_back({spec.freq_min, spec.freq_max,
+                         workload::InteractiveTraceGenerator(
+                             trace, rng.split(), 17.0 * double(s))});
       } else {
-        auto job = std::make_unique<workload::BatchJob>(
-            profiles[profile_index++ % profiles.size()],
-            /*deadline_s=*/600.0, /*work_s=*/320.0,
-            workload::CompletionMode::kRunOnce, rng.split());
-        cores.emplace_back(spec.freq_min, spec.freq_max, std::move(job));
+        cores.push_back({spec.freq_min, spec.freq_max,
+                         workload::BatchJob(
+                             profiles[profile_index++ % profiles.size()],
+                             /*deadline_s=*/600.0, /*work_s=*/320.0,
+                             workload::CompletionMode::kRunOnce, rng.split())});
       }
     }
     servers.emplace_back(spec, std::move(cores), rng.split());

@@ -21,7 +21,6 @@
 // spinning up the whole facility_dashboard.
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 
@@ -137,20 +136,21 @@ int main(int argc, char** argv) {
   const auto profiles = workload::spec2006_profiles();
   std::size_t pi = 0;
   for (std::size_t s = 0; s < 8; ++s) {
-    std::vector<server::CpuCore> cores;
+    std::vector<server::CoreSpec> cores;
     for (std::size_t c = 0; c < spec.cores_per_server; ++c) {
       if (c < 4) {
         // Stagger each core's start offset so they do not move in lockstep.
         const double offset =
             static_cast<double>(s * 11 + c * 3) * trace.dt_s;
-        cores.emplace_back(spec.freq_min, spec.freq_max,
-                           std::make_unique<workload::ReplayUtilization>(
-                               trace, /*scale=*/1.0, /*loop=*/true, offset));
+        cores.push_back({spec.freq_min, spec.freq_max,
+                         workload::ReplayUtilization(trace, /*scale=*/1.0,
+                                                     /*loop=*/true, offset)});
       } else {
-        cores.emplace_back(spec.freq_min, spec.freq_max,
-                           std::make_unique<workload::BatchJob>(
-                               profiles[pi++ % profiles.size()], 720.0, 300.0,
-                               workload::CompletionMode::kRepeat, rng.split()));
+        cores.push_back({spec.freq_min, spec.freq_max,
+                         workload::BatchJob(profiles[pi++ % profiles.size()],
+                                            720.0, 300.0,
+                                            workload::CompletionMode::kRepeat,
+                                            rng.split())});
       }
     }
     servers.emplace_back(spec, std::move(cores), rng.split());
@@ -180,11 +180,10 @@ int main(int argc, char** argv) {
                  double u = 0.0;
                  std::size_t n = 0;
                  for (const auto& s : rack.servers())
-                   for (const auto& c : s.cores())
-                     if (!c.is_batch()) {
-                       u += c.utilization();
-                       ++n;
-                     }
+                   for (const std::uint32_t c : s.interactive_cores()) {
+                     u += s.utilization(c);
+                     ++n;
+                   }
                  return u / static_cast<double>(n);
                }()
             << "\n  sprint state:         " << core::to_string(sprintcon.state())

@@ -11,7 +11,7 @@ control::PidConfig cap_gains(const core::SprintConfig& config,
   // same at any rack size.
   double total_cores = 0.0;
   for (const auto& s : rack.servers())
-    total_cores += static_cast<double>(s.cores().size());
+    total_cores += static_cast<double>(s.num_cores());
   const double watts_per_f = 18.0 * total_cores;  // rough rack-level gain
 
   control::PidConfig pid;
@@ -44,11 +44,14 @@ void PowerCapController::step(const sim::SimClock& clock) {
     // breaker never integrates heat.
     const double setpoint = 0.98 * config_.cb_rated_w;
     freq_ = pi_.step(setpoint, p_total, config_.control_period_s);
-    rack_.for_each_core(server::CoreRole::kInteractive,
-                        [this](server::CpuCore& c) { c.set_freq(freq_); });
-    rack_.for_each_core(server::CoreRole::kBatch, [this](server::CpuCore& c) {
-      c.set_freq(c.job()->completed() ? c.freq_min() : freq_);
-    });
+    for (server::Server& s : rack_.servers()) {
+      for (const std::uint32_t c : s.interactive_cores()) s.set_freq(c, freq_);
+      const std::span<const workload::BatchJob> jobs = s.jobs();
+      const std::span<const std::uint32_t> batch = s.batch_cores();
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        s.set_freq(batch[k], jobs[k].completed() ? s.freq_min(batch[k]) : freq_);
+      }
+    }
   }
 
   // No sprinting: the UPS is never discharged on purpose.

@@ -51,12 +51,12 @@ double SgctController::cb_target_at(double t_s) const {
 std::vector<SgctController::CoreSlot> SgctController::prioritized_cores() {
   std::vector<CoreSlot> slots;
   for (server::Server& s : rack_.servers()) {
-    for (server::CpuCore& c : s.cores()) {
+    for (std::uint32_t c = 0; c < s.num_cores(); ++c) {
       CoreSlot slot;
-      slot.core = &c;
       slot.server = &s;
-      slot.utilization = c.utilization();
-      slot.interactive = !c.is_batch();
+      slot.core = c;
+      slot.utilization = s.utilization(c);
+      slot.interactive = !s.is_batch(c);
       slots.push_back(slot);
     }
   }
@@ -104,28 +104,33 @@ void SgctController::allocate_frequencies(double budget_w) {
   // run-once jobs idle at the DVFS floor); the budget is then spent raising
   // sprint candidates toward peak in priority order.
   double used = fixed_power_estimate_w();
+  const auto idle_job = [](const CoreSlot& slot) {
+    const workload::BatchJob* job = slot.server->job(slot.core);
+    return job != nullptr && job->completed();
+  };
   for (const CoreSlot& slot : slots) {
-    server::CpuCore& core = *slot.core;
-    if (core.is_batch() && core.job()->completed()) {
-      core.set_freq(core.freq_min());
+    server::Server& server = *slot.server;
+    if (idle_job(slot)) {
+      server.set_freq(slot.core, server.freq_min(slot.core));
     } else {
-      core.set_freq(normal_freq_);
+      server.set_freq(slot.core, normal_freq_);
       used += core_power_estimate_w(slot, normal_freq_);
     }
   }
 
   for (CoreSlot& slot : slots) {
-    server::CpuCore& core = *slot.core;
-    if (core.is_batch() && core.job()->completed()) continue;
+    server::Server& server = *slot.server;
+    if (idle_job(slot)) continue;
     // Cooperative threshold: a core whose utilization does not justify the
     // sprinting power stays at the normal frequency.
     if (slot.utilization < sprint_threshold_) continue;
 
     const double at_normal = core_power_estimate_w(slot, normal_freq_);
-    const double at_peak = core_power_estimate_w(slot, core.freq_max());
+    const double freq_max = server.freq_max(slot.core);
+    const double at_peak = core_power_estimate_w(slot, freq_max);
     const double delta = at_peak - at_normal;
     if (used + delta <= budget_w) {
-      core.set_freq(core.freq_max());
+      server.set_freq(slot.core, freq_max);
       used += delta;
       continue;
     }
@@ -133,7 +138,7 @@ void SgctController::allocate_frequencies(double budget_w) {
     // (bisection handles the oracle's cubic term).
     const double room = budget_w - used;
     if (room <= 0.0) continue;  // stays at normal frequency
-    double lo = normal_freq_, hi = core.freq_max();
+    double lo = normal_freq_, hi = freq_max;
     for (int it = 0; it < 30; ++it) {
       const double mid = 0.5 * (lo + hi);
       const double dp = core_power_estimate_w(slot, mid) - at_normal;
@@ -143,7 +148,7 @@ void SgctController::allocate_frequencies(double budget_w) {
         lo = mid;
       }
     }
-    core.set_freq(lo);
+    server.set_freq(slot.core, lo);
     used += core_power_estimate_w(slot, lo) - at_normal;
   }
 }

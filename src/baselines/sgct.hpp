@@ -65,8 +65,8 @@ class SgctController : public sim::Component {
 
  private:
   struct CoreSlot {
-    server::CpuCore* core = nullptr;
-    const server::Server* server = nullptr;
+    server::Server* server = nullptr;
+    std::uint32_t core = 0;
     double utilization = 0.0;
     bool interactive = false;
   };

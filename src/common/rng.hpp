@@ -29,34 +29,63 @@ class Rng {
   static constexpr result_type max() noexcept { return ~0ULL; }
 
   /// Next raw 64-bit value.
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  double uniform() noexcept {
+    // 53 random mantissa bits -> double in [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
-  double uniform(double lo, double hi) noexcept;
+  double uniform(double lo, double hi) noexcept {
+    return lo + (hi - lo) * uniform();
+  }
 
   /// Integer uniform in [0, n) (n > 0). Uses rejection to avoid modulo bias.
   std::uint64_t uniform_index(std::uint64_t n) noexcept;
 
   /// Standard normal via Marsaglia polar method (cached spare).
-  double normal() noexcept;
+  double normal() noexcept {
+    if (has_spare_normal_) {
+      has_spare_normal_ = false;
+      return spare_normal_;
+    }
+    return normal_pair();
+  }
 
   /// Normal with mean/stddev.
-  double normal(double mean, double stddev) noexcept;
+  double normal(double mean, double stddev) noexcept {
+    return mean + stddev * normal();
+  }
 
   /// Exponential with the given rate (lambda > 0).
   double exponential(double rate) noexcept;
 
   /// Bernoulli draw with probability p of returning true.
-  bool bernoulli(double p) noexcept;
+  bool bernoulli(double p) noexcept { return uniform() < p; }
 
   /// Split off an independent child stream; deterministic in the parent
   /// state. Useful to give each server / workload its own stream.
   Rng split() noexcept;
 
  private:
+  static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+  /// Draw a fresh polar pair: return one, keep the other as the spare.
+  double normal_pair() noexcept;
+
   std::uint64_t s_[4];
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;

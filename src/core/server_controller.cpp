@@ -10,22 +10,14 @@ ServerPowerController::ServerPowerController(const SprintConfig& config,
                                              server::Rack& rack,
                                              server::LinearPowerModel model)
     : config_(config),
+      rack_(rack),
+      num_batch_(rack.batch_cores().size()),
       model_(model),
       mpc_(config.mpc),
       gain_estimator_(model.gain_w_per_f()) {
   config.validate();
-  SPRINTCON_EXPECTS(!rack.batch_cores().empty(),
+  SPRINTCON_EXPECTS(num_batch_ > 0,
                     "server power controller needs batch cores to actuate");
-  batch_.reserve(rack.batch_cores().size());
-  for (const auto& ref : rack.batch_cores()) batch_.push_back(&rack.core(ref));
-  std::size_t cores = 0;
-  for (const server::Server& s : rack.servers()) cores += s.cores().size();
-  interactive_.reserve(cores - batch_.size());
-  for (server::Server& s : rack.servers()) {
-    for (server::CpuCore& core : s.cores()) {
-      if (!core.is_batch()) interactive_.push_back({&s, &core});
-    }
-  }
 }
 
 double ServerPowerController::effective_gain_w_per_f() const {
@@ -40,10 +32,13 @@ double ServerPowerController::estimate_interactive_power_w() const {
   // peak power would under-attribute the batch class and make the MPC
   // push batch frequencies up against the cap.
   double p = 0.0;
-  for (const InteractiveCore& ic : interactive_) {
-    const double u = ic.server->powered() ? ic.core->utilization() : 0.0;
-    p += model_.constant_w() +
-         model_.interactive_gain_w_per_util() * u * ic.core->freq();
+  for (const server::Server& s : rack_.servers()) {
+    const bool powered = s.powered();
+    for (const std::uint32_t c : s.interactive_cores()) {
+      const double u = powered ? s.utilization(c) : 0.0;
+      p += model_.constant_w() +
+           model_.interactive_gain_w_per_util() * u * s.freq(c);
+    }
   }
   return p;
 }
@@ -53,7 +48,7 @@ void ServerPowerController::update(double p_total_w, double p_batch_target_w,
   SPRINTCON_EXPECTS(p_total_w >= 0.0, "measured power must be >= 0");
   SPRINTCON_EXPECTS(p_batch_target_w >= 0.0, "P_batch must be >= 0");
 
-  const std::size_t n = batch_.size();
+  const std::size_t n = num_batch_;
 
   // Eq. 6: the batch power cannot be metered directly on colocated
   // servers, so subtract the modeled interactive power from the rack meter.
@@ -72,23 +67,28 @@ void ServerPowerController::update(double p_total_w, double p_batch_target_w,
   // frequency sum feeds the adaptive-gain observation below, which may
   // change the gain, so the gains are filled in afterwards.
   double freq_sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const server::CpuCore& core = *batch_[i];
-    const workload::BatchJob& job = *core.job();
-    const double f = core.freq();
-    freq_sum += f;
-    problem.freq_current[i] = f;
-    problem.freq_min[i] = core.freq_min();
-    // A finished run-once job idles its core at the DVFS floor.
-    double f_max = job.completed() ? core.freq_min() : core.freq_max();
-    // Thermal guard: a core above its throttle point gets its ceiling
-    // pulled below the current frequency so it must cool off.
-    if (config_.thermal_guard && core.thermally_throttled()) {
-      f_max = std::max(core.freq_min(),
-                       std::min(f_max, f - config_.thermal_backoff_per_period));
+  std::size_t i = 0;
+  for (const server::Server& s : rack_.servers()) {
+    const std::span<const workload::BatchJob> jobs = s.jobs();
+    const std::span<const std::uint32_t> cores = s.batch_cores();
+    for (std::size_t k = 0; k < cores.size(); ++k, ++i) {
+      const std::uint32_t c = cores[k];
+      const workload::BatchJob& job = jobs[k];
+      const double f = s.freq(c);
+      freq_sum += f;
+      problem.freq_current[i] = f;
+      problem.freq_min[i] = s.freq_min(c);
+      // A finished run-once job idles its core at the DVFS floor.
+      double f_max = job.completed() ? s.freq_min(c) : s.freq_max(c);
+      // Thermal guard: a core above its throttle point gets its ceiling
+      // pulled below the current frequency so it must cool off.
+      if (config_.thermal_guard && s.thermally_throttled(c)) {
+        f_max = std::max(s.freq_min(c),
+                         std::min(f_max, f - config_.thermal_backoff_per_period));
+      }
+      problem.freq_max[i] = f_max;
+      problem.penalty_weights[i] = std::max(job.penalty_weight(now_s), 1e-3);
     }
-    problem.freq_max[i] = f_max;
-    problem.penalty_weights[i] = std::max(job.penalty_weight(now_s), 1e-3);
   }
 
   // Adaptive gain: learn dP/df from (applied frequency move, observed
@@ -101,7 +101,7 @@ void ServerPowerController::update(double p_total_w, double p_batch_target_w,
   last_p_fb_w_ = p_fb;
 
   const double k = effective_gain_w_per_f();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (i = 0; i < n; ++i) {
     problem.gains_w_per_f[i] = k;
     problem.penalty_weights[i] =
         problem.penalty_weights[i] * penalty_scale_ * k * k;
@@ -122,8 +122,7 @@ void ServerPowerController::update(double p_total_w, double p_batch_target_w,
     const obs::ScopedSpan span(obs_ != nullptr ? obs_->trace() : nullptr,
                                "dvfs_actuate", "decision", "cores",
                                static_cast<double>(n));
-    for (std::size_t i = 0; i < n; ++i)
-      batch_[i]->set_freq(last_out_.freq_next[i]);
+    actuate_batch(last_out_.freq_next);
   }
   record_commanded_freq();
 }
@@ -137,11 +136,11 @@ void ServerPowerController::set_pid_fallback(bool on) {
     // dP/du ~= n * K * (fmax - fmin). Gains are normalized by it so the
     // closed loop converges in a handful of control periods regardless
     // of rack size or model gain.
-    const server::CpuCore& first = *batch_.front();
+    const server::CoreView first = first_batch_core();
     const double span = std::max(1e-9, first.freq_max() - first.freq_min());
     const double dp_du = std::max(
         1e-9,
-        static_cast<double>(batch_.size()) * effective_gain_w_per_f() * span);
+        static_cast<double>(num_batch_) * effective_gain_w_per_f() * span);
     control::PidConfig pc;
     pc.kp = 0.4 / dp_du;
     pc.ki = 0.25 / dp_du;
@@ -159,15 +158,13 @@ void ServerPowerController::set_pid_fallback(bool on) {
 
 void ServerPowerController::update_pid(double p_fb_w,
                                        double p_batch_target_w) {
-  const std::size_t n = batch_.size();
-  const server::CpuCore& first = *batch_.front();
+  const std::size_t n = num_batch_;
+  const server::CoreView first = first_batch_core();
   const double fmin = first.freq_min();
   const double span = std::max(1e-9, first.freq_max() - fmin);
 
   if (!pid_primed_) {
-    double sum = 0.0;
-    for (const server::CpuCore* core : batch_) sum += core->freq();
-    const double mean = sum / static_cast<double>(n);
+    const double mean = mean_batch_freq();
     pid_.preload_output(std::clamp((mean - fmin) / span, 0.0, 1.0));
     pid_primed_ = true;
   }
@@ -180,30 +177,47 @@ void ServerPowerController::update_pid(double p_fb_w,
   // just folded into problem_.freq_max by update().
   if (last_out_.freq_next.size() != n) last_out_.freq_next.assign(n, fmin);
   for (std::size_t i = 0; i < n; ++i) {
-    const double f =
+    last_out_.freq_next[i] =
         std::clamp(freq, problem_.freq_min[i], problem_.freq_max[i]);
-    last_out_.freq_next[i] = f;
-    batch_[i]->set_freq(f);
   }
-  if (obs_ != nullptr) obs_->metrics().counter("control.pid_updates").add(1);
+  actuate_batch(last_out_.freq_next);
+  if (pid_updates_ != nullptr) pid_updates_->add(1);
   record_commanded_freq();
 }
 
 void ServerPowerController::reissue_last_command() {
-  if (last_out_.freq_next.size() != batch_.size()) return;
-  for (std::size_t i = 0; i < batch_.size(); ++i) {
-    batch_[i]->set_freq(last_out_.freq_next[i]);
-  }
+  if (last_out_.freq_next.size() != num_batch_) return;
+  actuate_batch(last_out_.freq_next);
   record_commanded_freq();
 }
 
+void ServerPowerController::actuate_batch(const std::vector<double>& freq_next) {
+  std::size_t i = 0;
+  for (server::Server& s : rack_.servers()) {
+    for (const std::uint32_t c : s.batch_cores()) s.set_freq(c, freq_next[i++]);
+  }
+}
+
+double ServerPowerController::mean_batch_freq() const {
+  double sum = 0.0;
+  for (const server::Server& s : rack_.servers()) {
+    for (const std::uint32_t c : s.batch_cores()) sum += s.freq(c);
+  }
+  return sum / static_cast<double>(num_batch_);
+}
+
 void ServerPowerController::pin_interactive_at_peak() {
-  for (const InteractiveCore& ic : interactive_)
-    ic.core->set_freq(ic.core->freq_max());
+  for (server::Server& s : rack_.servers()) {
+    for (const std::uint32_t c : s.interactive_cores()) {
+      s.set_freq(c, s.freq_max(c));
+    }
+  }
 }
 
 void ServerPowerController::force_batch_frequency(double freq) {
-  for (server::CpuCore* core : batch_) core->set_freq(freq);
+  for (server::Server& s : rack_.servers()) {
+    for (const std::uint32_t c : s.batch_cores()) s.set_freq(c, freq);
+  }
   mpc_.reset();
   record_commanded_freq();
 }
@@ -214,31 +228,32 @@ void ServerPowerController::record_commanded_freq() {
   // that later diverges from this gauge (a stuck actuator overwriting the
   // command, for instance) is an actuation fault the HealthMonitor can
   // catch by comparing against the realized batch frequencies.
-  double sum = 0.0;
-  for (const server::CpuCore* core : batch_) sum += core->freq();
-  cmd_batch_freq_->set(sum / static_cast<double>(batch_.size()));
+  cmd_batch_freq_->set(mean_batch_freq());
 }
 
 std::vector<BatchJobStatus> ServerPowerController::job_statuses(
     double now_s) const {
   std::vector<BatchJobStatus> out;
-  out.reserve(batch_.size());
-  for (const server::CpuCore* core_ptr : batch_) {
-    const server::CpuCore& core = *core_ptr;
-    const workload::BatchJob& job = *core.job();
-    BatchJobStatus status;
-    status.remaining_work_s = job.remaining_work_s();
-    status.time_left_s = std::max(0.0, job.deadline_s() - now_s);
-    status.compute_fraction = job.model().compute_fraction();
-    status.gain_w_per_f = effective_gain_w_per_f();
-    status.constant_w = model_.constant_w();
-    status.freq_min = core.freq_min();
-    status.freq_max = core.freq_max();
-    // Deadline pressure applies while the first execution is incomplete;
-    // later passes of a repeating trace are throughput work (the paper's
-    // 15-minute continuous traces) and never raise the P_batch floor.
-    status.active = !job.completed() && job.completions() == 0;
-    out.push_back(status);
+  out.reserve(num_batch_);
+  for (const server::Server& s : rack_.servers()) {
+    const std::span<const workload::BatchJob> jobs = s.jobs();
+    const std::span<const std::uint32_t> cores = s.batch_cores();
+    for (std::size_t k = 0; k < cores.size(); ++k) {
+      const workload::BatchJob& job = jobs[k];
+      BatchJobStatus status;
+      status.remaining_work_s = job.remaining_work_s();
+      status.time_left_s = std::max(0.0, job.deadline_s() - now_s);
+      status.compute_fraction = job.model().compute_fraction();
+      status.gain_w_per_f = effective_gain_w_per_f();
+      status.constant_w = model_.constant_w();
+      status.freq_min = s.freq_min(cores[k]);
+      status.freq_max = s.freq_max(cores[k]);
+      // Deadline pressure applies while the first execution is incomplete;
+      // later passes of a repeating trace are throughput work (the paper's
+      // 15-minute continuous traces) and never raise the P_batch floor.
+      status.active = !job.completed() && job.completions() == 0;
+      out.push_back(status);
+    }
   }
   return out;
 }

@@ -79,19 +79,17 @@ class ServerPowerController {
     cmd_batch_freq_ = sink != nullptr
                           ? &sink->metrics().gauge("control.cmd_batch_freq")
                           : nullptr;
+    pid_updates_ = sink != nullptr
+                       ? &sink->metrics().counter("control.pid_updates")
+                       : nullptr;
   }
 
  private:
   SprintConfig config_;
-  /// The rack's batch cores in batch_cores() order, and its interactive
-  /// cores with their servers in rack order, resolved once: the rack's
-  /// server and core vectors never change size after construction.
-  std::vector<server::CpuCore*> batch_;
-  struct InteractiveCore {
-    const server::Server* server;
-    server::CpuCore* core;
-  };
-  std::vector<InteractiveCore> interactive_;
+  /// The controlled rack. Every period reads and writes its servers' core
+  /// arrays through their role spans, batch cores in batch_cores() order.
+  server::Rack& rack_;
+  std::size_t num_batch_;
   server::LinearPowerModel model_;
   control::MpcPowerController mpc_;
   control::GainEstimator gain_estimator_;
@@ -99,8 +97,17 @@ class ServerPowerController {
   control::MpcOutput last_out_;
   obs::ObsSink* obs_ = nullptr;
   obs::Gauge* cmd_batch_freq_ = nullptr;  ///< resolved by set_obs
+  obs::Counter* pid_updates_ = nullptr;   ///< resolved by set_obs
   /// Publish the mean batch frequency this controller just commanded.
   void record_commanded_freq();
+  /// Write freq_next[i] to the i-th batch core.
+  void actuate_batch(const std::vector<double>& freq_next);
+  /// Mean frequency of the batch cores, summed in batch_cores() order.
+  double mean_batch_freq() const;
+  /// The first batch core, whose DVFS range scales the PI fallback.
+  server::CoreView first_batch_core() const {
+    return rack_.core(rack_.batch_cores().front());
+  }
   /// PI-fallback control period (replaces the MPC solve + actuation).
   void update_pid(double p_fb_w, double p_batch_target_w);
   bool pid_fallback_ = false;

@@ -71,22 +71,24 @@ double SprintConController::bid_batch_budget_w(double budget_w,
   double batch_dyn_demand_w = 0.0;  // full-speed dynamic power
   double batch_urgency = 0.0;
   std::size_t active_jobs = 0;
-  for (const auto& ref : rack_.batch_cores()) {
-    const server::CpuCore& core = rack_.core(ref);
-    batch_idle_w += model.constant_w();
-    const workload::BatchJob& job = *core.job();
-    if (job.completed()) continue;
-    batch_dyn_demand_w += model.gain_w_per_f() * core.freq_max();
-    batch_urgency += job.penalty_weight(now_s);
-    ++active_jobs;
+  double inter_idle_w = 0.0;
+  for (const server::Server& s : rack_.servers()) {
+    const std::span<const workload::BatchJob> jobs = s.jobs();
+    const std::span<const std::uint32_t> cores = s.batch_cores();
+    for (std::size_t k = 0; k < cores.size(); ++k) {
+      batch_idle_w += model.constant_w();
+      const workload::BatchJob& job = jobs[k];
+      if (job.completed()) continue;
+      batch_dyn_demand_w += model.gain_w_per_f() * s.freq_max(cores[k]);
+      batch_urgency += job.penalty_weight(now_s);
+      ++active_jobs;
+    }
+    for (std::size_t k = 0; k < s.interactive_cores().size(); ++k) {
+      inter_idle_w += model.constant_w();
+    }
   }
   if (active_jobs > 0) batch_urgency /= static_cast<double>(active_jobs);
 
-  double inter_idle_w = 0.0;
-  rack_.for_each_core(server::CoreRole::kInteractive,
-                      [&](server::CpuCore&) {
-                        inter_idle_w += model.constant_w();
-                      });
   const double inter_dyn_w = std::max(0.0, p_inter_w - inter_idle_w);
   const double dyn_budget_w =
       std::max(0.0, budget_w - batch_idle_w - inter_idle_w);
@@ -106,11 +108,11 @@ double SprintConController::bid_batch_budget_w(double budget_w,
   // cap conservative); the next period's feedback refines the cap.
   if (alloc[0] + 1e-9 < inter_dyn_w && inter_dyn_w > 0.0) {
     const double ratio = std::clamp(alloc[0] / inter_dyn_w, 0.0, 1.0);
-    rack_.for_each_core(server::CoreRole::kInteractive,
-                        [ratio](server::CpuCore& c) {
-                          c.set_freq(std::max(c.freq_min(),
-                                              c.freq_max() * ratio));
-                        });
+    for (server::Server& s : rack_.servers()) {
+      for (const std::uint32_t c : s.interactive_cores()) {
+        s.set_freq(c, std::max(s.freq_min(c), s.freq_max(c) * ratio));
+      }
+    }
   } else {
     server_ctrl_.pin_interactive_at_peak();
   }

@@ -25,7 +25,7 @@ std::size_t FaultInjector::active_count() const noexcept {
 std::vector<double> FaultInjector::snapshot_freqs() const {
   std::vector<double> out;
   for (const server::Server& s : rack_.servers()) {
-    for (const server::CpuCore& c : s.cores()) out.push_back(c.freq());
+    for (std::size_t c = 0; c < s.num_cores(); ++c) out.push_back(s.freq(c));
   }
   return out;
 }
@@ -180,7 +180,9 @@ void FaultInjector::post_tick(const sim::SimClock& clock) {
       // whatever the controller just wrote.
       std::size_t k = 0;
       for (server::Server& s : rack_.servers()) {
-        for (server::CpuCore& c : s.cores()) c.set_freq(state.freqs[k++]);
+        for (std::size_t c = 0; c < s.num_cores(); ++c) {
+          s.set_freq(c, state.freqs[k++]);
+        }
       }
     } else if (spec.kind == FaultKind::kDvfsLag) {
       // First-order actuator lag toward the controller's latest write:
@@ -190,11 +192,11 @@ void FaultInjector::post_tick(const sim::SimClock& clock) {
       const double alpha = dt / (spec.magnitude + dt);
       std::size_t k = 0;
       for (server::Server& s : rack_.servers()) {
-        for (server::CpuCore& c : s.cores()) {
-          const double desired = c.freq();
+        for (std::size_t c = 0; c < s.num_cores(); ++c) {
+          const double desired = s.freq(c);
           const double applied =
               state.freqs[k] + alpha * (desired - state.freqs[k]);
-          c.set_freq(applied);
+          s.set_freq(c, applied);
           state.freqs[k] = applied;
           ++k;
         }

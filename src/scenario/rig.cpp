@@ -156,7 +156,7 @@ Rig::Rig(const RigConfig& config) : config_(config) {
   servers.reserve(config.num_servers);
   std::size_t batch_index = 0;  // cycles through the SPEC profiles
   for (std::size_t s = 0; s < config.num_servers; ++s) {
-    std::vector<server::CpuCore> cores;
+    std::vector<server::CoreSpec> cores;
     cores.reserve(spec.cores_per_server);
     for (std::size_t c = 0; c < spec.cores_per_server; ++c) {
       const bool interactive_core =
@@ -171,34 +171,33 @@ Rig::Rig(const RigConfig& config) : config_(config) {
         if (config.use_request_queues) {
           workload::RequestQueueConfig queue;
           queue.offered_load = config.interactive;
-          auto source = std::make_unique<workload::RequestQueueSource>(
-              queue, master.split(), phase);
-          queues_.push_back(source.get());
           cores.emplace_back(spec.freq_min, spec.freq_max,
-                             std::move(source));
+                             workload::RequestQueueSource(
+                                 queue, master.split(), phase));
         } else {
-          cores.emplace_back(
-              spec.freq_min, spec.freq_max,
-              workload::InteractiveTraceGenerator(config.interactive,
-                                                  master.split(), phase));
+          cores.emplace_back(spec.freq_min, spec.freq_max,
+                             workload::InteractiveTraceGenerator(
+                                 config.interactive, master.split(), phase));
         }
       } else {
         const auto& profile =
             spec_profiles[batch_index++ % spec_profiles.size()];
-        auto job = std::make_unique<workload::BatchJob>(
-            profile, config.batch_deadline_s,
-            profile.nominal_work_s * config.batch_work_scale,
-            config.completion, master.split());
-        cores.emplace_back(spec.freq_min, spec.freq_max, std::move(job));
+        cores.emplace_back(
+            spec.freq_min, spec.freq_max,
+            workload::BatchJob(profile, config.batch_deadline_s,
+                               profile.nominal_work_s * config.batch_work_scale,
+                               config.completion, master.split()));
       }
     }
     servers.emplace_back(spec, std::move(cores), master.split());
   }
   rack_ = std::make_unique<server::Rack>(std::move(servers));
-  // Server-owned SoA thermal state (one elementwise kernel per tick)
-  // rather than a CoreThermalModel per core; the servers sit at their
-  // final addresses now, so the cores' slot bindings stay valid.
-  for (server::Server& s : rack_->servers()) s.attach_thermal(config.thermal);
+  for (server::Server& s : rack_->servers()) {
+    s.attach_thermal(config.thermal);
+    for (workload::RequestQueueSource& q : s.request_queues()) {
+      queues_.push_back(&q);
+    }
+  }
 
   // --- power infrastructure --------------------------------------------------
   const double max_rack_w =

@@ -209,8 +209,9 @@ class Rig {
   /// Requires config.observability (throws InvalidStateError otherwise).
   obs::RunReport report() const;
 
-  /// Request-queue sources when use_request_queues is set (the cores own
-  /// them; pointers stay valid for the rig's lifetime). Empty otherwise.
+  /// Request-queue sources when use_request_queues is set (the servers'
+  /// queue blocks own them; pointers stay valid for the rig's lifetime).
+  /// Empty otherwise.
   /// Non-const so the facility's re-route coordinator (and the rig's own
   /// quarantine shed) can scale the offered load.
   const std::vector<workload::RequestQueueSource*>& request_queues()

@@ -5,7 +5,9 @@
 namespace sprintcon::server {
 
 MeasurementPowerModel::MeasurementPowerModel(const PlatformSpec& spec)
-    : spec_(spec) {
+    : spec_(spec),
+      linear_coeff_w_(spec.core_linear_coeff_w()),
+      cubic_coeff_w_(spec.core_cubic_coeff_w()) {
   spec.validate();
 }
 
@@ -15,8 +17,7 @@ double MeasurementPowerModel::core_dynamic_w(double freq,
                     "normalized frequency must be in [0, 1]");
   SPRINTCON_EXPECTS(utilization >= 0.0 && utilization <= 1.0 + 1e-9,
                     "utilization must be in [0, 1]");
-  return utilization * (spec_.core_linear_coeff_w() * freq +
-                        spec_.core_cubic_coeff_w() * freq * freq * freq);
+  return core_dynamic_w_in_range(freq, utilization);
 }
 
 double MeasurementPowerModel::server_power_w(double sum_dynamic_w) const {

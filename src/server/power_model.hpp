@@ -26,6 +26,16 @@ class MeasurementPowerModel {
   /// Dynamic power of one core at normalized frequency f, utilization u.
   double core_dynamic_w(double freq, double utilization) const;
 
+  /// core_dynamic_w() without the range checks, for the server's per-core
+  /// loop: its frequencies were clamped into the core's validated DVFS
+  /// range by Server::set_freq and its utilizations clamped into [0, 1]
+  /// by the sources that wrote them.
+  double core_dynamic_w_in_range(double freq,
+                                 double utilization) const noexcept {
+    return utilization * (linear_coeff_w_ * freq +
+                          cubic_coeff_w_ * freq * freq * freq);
+  }
+
   /// Full-server power for aggregate core states, excluding the fan.
   /// @param sum_dynamic_w  precomputed sum of core_dynamic_w over cores
   double server_power_w(double sum_dynamic_w) const;
@@ -34,6 +44,10 @@ class MeasurementPowerModel {
 
  private:
   PlatformSpec spec_;
+  // spec_.core_linear_coeff_w() / core_cubic_coeff_w(), evaluated once:
+  // the same expressions, so the per-tick power is bit-identical.
+  double linear_coeff_w_;
+  double cubic_coeff_w_;
 };
 
 /// Controller-side linear model p = K f + C per core (Eq. 1/2).

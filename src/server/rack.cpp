@@ -11,9 +11,8 @@ namespace sprintcon::server {
 Rack::Rack(std::vector<Server> servers) : servers_(std::move(servers)) {
   SPRINTCON_EXPECTS(!servers_.empty(), "rack needs at least one server");
   for (std::size_t s = 0; s < servers_.size(); ++s) {
-    const auto& cores = servers_[s].cores();
-    for (std::size_t c = 0; c < cores.size(); ++c) {
-      if (cores[c].is_batch()) batch_refs_.push_back({s, c});
+    for (const std::uint32_t c : servers_[s].batch_cores()) {
+      batch_refs_.push_back({s, c});
     }
   }
 }
@@ -28,23 +27,17 @@ double Rack::total_power_w() const {
   return sum;
 }
 
-CpuCore& Rack::core(const BatchCoreRef& ref) {
+CoreView Rack::core(const BatchCoreRef& ref) const {
   SPRINTCON_EXPECTS(ref.server < servers_.size(), "server index out of range");
-  auto& cores = servers_[ref.server].cores();
-  SPRINTCON_EXPECTS(ref.core < cores.size(), "core index out of range");
-  return cores[ref.core];
-}
-
-const CpuCore& Rack::core(const BatchCoreRef& ref) const {
-  SPRINTCON_EXPECTS(ref.server < servers_.size(), "server index out of range");
-  const auto& cores = servers_[ref.server].cores();
-  SPRINTCON_EXPECTS(ref.core < cores.size(), "core index out of range");
-  return cores[ref.core];
+  const Server& server = servers_[ref.server];
+  SPRINTCON_EXPECTS(ref.core < server.num_cores(), "core index out of range");
+  return CoreView(server, ref.core);
 }
 
 RackTelemetry Rack::telemetry() const {
-  // One pass over every core. The FP evaluation order below is what the
-  // recorded traces (and the goldens) were produced with; keep it.
+  // One pass over each server's role spans. The FP evaluation order below
+  // (each sum in core order) is what the recorded traces (and the goldens)
+  // were produced with; keep it.
   const workload::LatencyModel latency;
   // Exactly the -ln(1 - p) factor percentile_response_s(p = 0.95) applies
   // to the mean; hoisted so the scan pays one log per program, not one
@@ -64,24 +57,22 @@ RackTelemetry Rack::telemetry() const {
     // Per-server mean re-weighted by the core count: sum, divide, then
     // multiply back (the round-trip is part of the recorded arithmetic).
     double s_inter = 0.0, s_batch = 0.0;
-    std::size_t s_inter_n = 0, s_batch_n = 0;
-    for (const CpuCore& c : s.cores()) {
-      const double freq_term = powered ? c.freq() : 0.0;
-      if (c.is_batch()) {
-        s_batch += freq_term;
-        ++s_batch_n;
-      } else {
-        s_inter += freq_term;
-        ++s_inter_n;
-        double t = kClampS;
-        if (powered) {
-          const double mean = latency.mean_response_s(c.freq(), c.utilization());
-          t = std::min(mean * kP95Factor, kClampS);
-        }
-        p95_sum += t;
-        ++p95_n;
+    const std::size_t s_inter_n = s.interactive_cores().size();
+    const std::size_t s_batch_n = s.batch_cores().size();
+    for (const std::uint32_t c : s.interactive_cores()) {
+      s_inter += powered ? s.freq(c) : 0.0;
+      double t = kClampS;
+      if (powered) {
+        const double mean = latency.mean_response_s(s.freq(c), s.utilization(c));
+        t = std::min(mean * kP95Factor, kClampS);
       }
-      temp_max = std::max(temp_max, c.temperature_c());
+      p95_sum += t;
+    }
+    for (const std::uint32_t c : s.batch_cores()) {
+      s_batch += powered ? s.freq(c) : 0.0;
+    }
+    for (std::size_t c = 0; c < s.num_cores(); ++c) {
+      temp_max = std::max(temp_max, s.temperature_c(c));
     }
     if (s_inter_n > 0) {
       inter_sum += s_inter / static_cast<double>(s_inter_n) *
@@ -93,6 +84,7 @@ RackTelemetry Rack::telemetry() const {
     }
     inter_n += s_inter_n;
     batch_n += s_batch_n;
+    p95_n += s_inter_n;
   }
   out.freq_interactive =
       inter_n ? inter_sum / static_cast<double>(inter_n) : 0.0;
@@ -105,21 +97,6 @@ RackTelemetry Rack::telemetry() const {
 
 void Rack::set_all_powered(bool on) {
   for (Server& s : servers_) s.set_powered(on);
-}
-
-bool Rack::any_powered() const {
-  for (const Server& s : servers_)
-    if (s.powered()) return true;
-  return false;
-}
-
-void Rack::for_each_core(CoreRole role,
-                         const std::function<void(CpuCore&)>& fn) {
-  for (Server& s : servers_) {
-    for (CpuCore& c : s.cores()) {
-      if (c.role() == role) fn(c);
-    }
-  }
 }
 
 }  // namespace sprintcon::server

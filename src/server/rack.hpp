@@ -1,7 +1,6 @@
 // A rack of servers — the unit SprintCon controls.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "server/server.hpp"
@@ -26,9 +25,9 @@ struct RackTelemetry {
   double p95_latency_ms = 0.0;    ///< rack-mean M/M/1 p95 response time
 };
 
-/// The rack owns its servers and advances them each tick. Controllers
-/// address batch cores through BatchCoreRef lists so they never need to
-/// know the rack layout.
+/// The rack owns its servers and advances them each tick. Controllers read
+/// and write core state through each server's arrays and role index spans,
+/// in rack order (server-major, core order).
 class Rack : public sim::Component {
  public:
   explicit Rack(std::vector<Server> servers);
@@ -42,12 +41,13 @@ class Rack : public sim::Component {
   /// power monitor of the paper reads this).
   double total_power_w() const;
 
-  /// All batch cores in a stable order.
+  /// All batch cores in a stable order (server-major, core order — the
+  /// order of each server's batch_cores()).
   const std::vector<BatchCoreRef>& batch_cores() const noexcept {
     return batch_refs_;
   }
-  CpuCore& core(const BatchCoreRef& ref);
-  const CpuCore& core(const BatchCoreRef& ref) const;
+  /// View of one core; throws on an out-of-range reference.
+  CoreView core(const BatchCoreRef& ref) const;
 
   /// Telemetry scan: the rack-mean normalized frequency of each class
   /// (powered-off servers count 0), the hottest core temperature, and the
@@ -56,10 +56,6 @@ class Rack : public sim::Component {
 
   /// Power every server on/off (UPS exhaustion outage).
   void set_all_powered(bool on);
-  bool any_powered() const;
-
-  /// Apply a function to every core of the given role.
-  void for_each_core(CoreRole role, const std::function<void(CpuCore&)>& fn);
 
  private:
   std::vector<Server> servers_;

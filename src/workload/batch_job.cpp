@@ -10,21 +10,24 @@ namespace sprintcon::workload {
 namespace {
 // Peak clock of the evaluation platform (2.0 GHz); counter synthesis only.
 constexpr double kPeakHz = 2.0e9;
-// Phase modulation: new utilization perturbation every ~20 s of execution.
-constexpr double kPhasePeriodS = 20.0;
 constexpr double kPhaseSigma = 0.03;
 }  // namespace
 
 BatchJob::BatchJob(const BatchProfile& profile, double deadline_s,
                    double work_s, CompletionMode mode, Rng rng)
-    : profile_(profile),
-      model_(profile.compute_fraction),
+    : model_(profile.compute_fraction),
       mode_(mode),
       work_total_s_(work_s > 0.0 ? work_s : profile.nominal_work_s),
       deadline_s_(deadline_s),
-      rng_(rng) {
+      rng_(rng),
+      profile_(profile) {
   SPRINTCON_EXPECTS(deadline_s > 0.0, "deadline must be positive");
   SPRINTCON_EXPECTS(work_total_s_ > 0.0, "work must be positive");
+  // utilization() clamps the phase-modulated value into [0, 1]; a valid
+  // profile keeps it a number (the power model relies on that).
+  SPRINTCON_EXPECTS(profile.utilization >= 0.0 && profile.utilization <= 1.0,
+                    "profile utilization must be in [0, 1]");
+  busy_ = busy_fraction();
 }
 
 PerfCounterSample BatchJob::advance(double dt_s, double freq, double now_s) {
@@ -33,36 +36,9 @@ PerfCounterSample BatchJob::advance(double dt_s, double freq, double now_s) {
                     "normalized frequency must be in (0, 1]");
 
   PerfCounterSample sample;
-  if (completed_ && mode_ == CompletionMode::kRunOnce) {
-    return sample;  // core idles; all counters zero
-  }
+  if (idle()) return sample;  // core idles; all counters zero
 
-  // Slow phase modulation so the counter traces are not perfectly flat.
-  phase_timer_s_ += dt_s;
-  if (phase_timer_s_ >= kPhasePeriodS) {
-    phase_timer_s_ = 0.0;
-    phase_noise_ = std::clamp(rng_.normal(0.0, kPhaseSigma), -0.08, 0.08);
-  }
-
-  const double rate = model_.rate(freq);
-  const double work_done = rate * dt_s;
-  progress_ += work_done / work_total_s_;
-
-  if (progress_ >= 1.0) {
-    ++completions_;
-    if (completion_time_s_ < 0.0) {
-      // Linear back-interpolation of the actual completion instant.
-      const double overshoot = (progress_ - 1.0) * work_total_s_ / rate;
-      completion_time_s_ = now_s + dt_s - overshoot;
-    }
-    if (mode_ == CompletionMode::kRepeat) {
-      progress_ -= 1.0;
-      start_time_s_ = now_s + dt_s;
-    } else {
-      progress_ = 1.0;
-      completed_ = true;
-    }
-  }
+  const double work_done = progress_by(dt_s, freq, now_s);
 
   // Counter synthesis: the core is busy for the whole period while running;
   // instructions retired scale with useful work, cache misses with the
@@ -76,6 +52,28 @@ PerfCounterSample BatchJob::advance(double dt_s, double freq, double now_s) {
   return sample;
 }
 
+void BatchJob::next_phase() noexcept {
+  phase_timer_s_ = 0.0;
+  phase_noise_ = std::clamp(rng_.normal(0.0, kPhaseSigma), -0.08, 0.08);
+  busy_ = busy_fraction();
+}
+
+void BatchJob::complete(double rate, double dt_s, double now_s) noexcept {
+  ++completions_;
+  if (completion_time_s_ < 0.0) {
+    // Linear back-interpolation of the actual completion instant.
+    const double overshoot = (progress_ - 1.0) * work_total_s_ / rate;
+    completion_time_s_ = now_s + dt_s - overshoot;
+  }
+  if (mode_ == CompletionMode::kRepeat) {
+    progress_ -= 1.0;
+    start_time_s_ = now_s + dt_s;
+  } else {
+    progress_ = 1.0;
+    completed_ = true;
+  }
+}
+
 double BatchJob::remaining_work_s() const noexcept {
   return std::max(0.0, (1.0 - progress_) * work_total_s_);
 }
@@ -84,34 +82,8 @@ double BatchJob::estimated_remaining_time_s(double freq) const {
   return model_.time_for(remaining_work_s(), freq);
 }
 
-double BatchJob::penalty_weight(double now_s) const {
-  if (completed_ && mode_ == CompletionMode::kRunOnce) return 0.0;
-  if (completions_ > 0) {
-    // The deadline was satisfied by the first pass; later passes of a
-    // repeating trace are background throughput work with neutral urgency.
-    return 0.5;
-  }
-  const double remaining_progress = 1.0 - progress_;
-  const double elapsed = std::max(now_s - start_time_s_, 0.0);
-  const double left = deadline_s_ - now_s;
-  if (left <= 0.0) {
-    // Deadline already passed: maximum urgency, bounded to keep the QP
-    // well conditioned.
-    return 100.0;
-  }
-  const double window = elapsed + left;
-  if (window <= 0.0) return 100.0;
-  const double normalized_left = left / window;
-  return std::min(remaining_progress / std::max(normalized_left, 1e-3), 100.0);
-}
-
-double BatchJob::utilization() const noexcept {
-  if (completed_ && mode_ == CompletionMode::kRunOnce) return 0.0;
-  return std::clamp(profile_.utilization * (1.0 + phase_noise_), 0.0, 1.0);
-}
-
 bool BatchJob::deadline_at_risk(double now_s, double freq) const {
-  if (completed_ && mode_ == CompletionMode::kRunOnce) return false;
+  if (idle()) return false;
   const double left = deadline_s_ - now_s;
   return estimated_remaining_time_s(freq) > left;
 }

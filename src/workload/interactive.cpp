@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/attributes.hpp"
 #include "common/validation.hpp"
 
 namespace sprintcon::workload {
@@ -30,16 +31,9 @@ void InteractiveTraceConfig::validate() const {
   }
 }
 
-InteractiveTraceGenerator::InteractiveTraceGenerator(
-    const InteractiveTraceConfig& config, Rng rng, double phase_s)
-    : config_(config), rng_(rng), phase_s_(phase_s),
-      utilization_(config.idle_utilization) {
-  config.validate();
-}
-
-double InteractiveTraceGenerator::envelope_mean(double t_s) const {
-  const auto& env = config_.envelope;
-  if (env.empty()) return config_.mean_utilization;
+double InteractiveTraceConfig::envelope_mean(double t_s) const {
+  const auto& env = envelope;
+  if (env.empty()) return mean_utilization;
   if (t_s <= env.front().t_s) return env.front().mean_utilization;
   if (t_s >= env.back().t_s) return env.back().mean_utilization;
   for (std::size_t i = 1; i < env.size(); ++i) {
@@ -53,47 +47,104 @@ double InteractiveTraceGenerator::envelope_mean(double t_s) const {
   return env.back().mean_utilization;  // unreachable
 }
 
+void TraceStepFactors::refresh(const InteractiveTraceConfig& config,
+                               double dt) {
+  if (dt == dt_s) return;
+  // AR(1) noise discretized to stay stationary for any dt, and the spike
+  // process' decay/arrival factors.
+  noise_rho = std::exp(-dt / config.noise_tau_s);
+  innovation_sigma = config.noise_sigma *
+                     std::sqrt(std::max(1.0 - noise_rho * noise_rho, 0.0));
+  spike_retain = std::exp(-dt / config.spike_decay_s);
+  spike_p_arrival = 1.0 - std::exp(-config.spike_rate_per_s * dt);
+  dt_s = dt;
+}
+
+namespace {
+
+/// Burst envelope (or constant mean) at trace time `now_s`, with the onset
+/// ramp applied on top. Shared by every core of a block.
+double burst_base(const InteractiveTraceConfig& config, double now_s) {
+  const double mean = config.envelope_mean(now_s);
+  double base = mean;
+  if (config.ramp_up_s > 0.0 && now_s < config.ramp_up_s) {
+    const double x = now_s / config.ramp_up_s;
+    base = config.idle_utilization + (mean - config.idle_utilization) * x;
+  }
+  return base;
+}
+
+/// One core's utilization for the interval ending at trace time `now_s`:
+/// the slow swell, the AR(1) noise and the spike process on top of the
+/// shared base. Draw order per core: one normal, one bernoulli, and one
+/// uniform on a spike arrival.
+inline double trace_core_step(const InteractiveTraceConfig& config,
+                              const TraceStepFactors& f, double base,
+                              double now_s, TraceCoreState& core) {
+  // Slow swell (minutes scale).
+  const double swell =
+      config.swell_amplitude *
+      std::sin(2.0 * std::numbers::pi * (now_s + core.phase_s) /
+               config.swell_period_s);
+
+  core.ar_state =
+      f.noise_rho * core.ar_state + core.rng.normal(0.0, f.innovation_sigma);
+
+  // Spike process: Poisson arrivals, exponential decay.
+  core.spike_level *= f.spike_retain;
+  if (core.rng.bernoulli(f.spike_p_arrival)) {
+    core.spike_level += config.spike_magnitude * core.rng.uniform(0.6, 1.4);
+  }
+
+  return std::clamp(base + swell + core.ar_state + core.spike_level, 0.0,
+                    1.0);
+}
+
+}  // namespace
+
+InteractiveTraceGenerator::InteractiveTraceGenerator(
+    const InteractiveTraceConfig& config, Rng rng, double phase_s)
+    : config_(config),
+      core_{rng, phase_s},
+      utilization_(config.idle_utilization) {
+  config.validate();
+}
+
 double InteractiveTraceGenerator::step(double dt_s, double /*freq*/) {
   SPRINTCON_EXPECTS(dt_s > 0.0, "dt must be positive");
   now_s_ += dt_s;
-
-  // Burst envelope (or constant mean), with the onset ramp applied on top.
-  const double mean = envelope_mean(now_s_);
-  double base = mean;
-  if (config_.ramp_up_s > 0.0 && now_s_ < config_.ramp_up_s) {
-    const double x = now_s_ / config_.ramp_up_s;
-    base = config_.idle_utilization + (mean - config_.idle_utilization) * x;
-  }
-
-  // Slow swell (minutes scale).
-  const double swell =
-      config_.swell_amplitude *
-      std::sin(2.0 * std::numbers::pi * (now_s_ + phase_s_) /
-               config_.swell_period_s);
-
-  // AR(1) noise discretized to stay stationary for any dt, and the spike
-  // process' decay/arrival factors. All four depend only on (config, dt);
-  // the fixed-step simulator always passes the same dt, so the hot path
-  // reuses the cached factors instead of re-evaluating exp/sqrt per tick.
-  if (dt_s != cached_dt_s_) {
-    noise_rho_ = std::exp(-dt_s / config_.noise_tau_s);
-    innovation_sigma_ =
-        config_.noise_sigma *
-        std::sqrt(std::max(1.0 - noise_rho_ * noise_rho_, 0.0));
-    spike_retain_ = std::exp(-dt_s / config_.spike_decay_s);
-    spike_p_arrival_ = 1.0 - std::exp(-config_.spike_rate_per_s * dt_s);
-    cached_dt_s_ = dt_s;
-  }
-  ar_state_ = noise_rho_ * ar_state_ + rng_.normal(0.0, innovation_sigma_);
-
-  // Spike process: Poisson arrivals, exponential decay.
-  spike_level_ *= spike_retain_;
-  if (rng_.bernoulli(spike_p_arrival_)) {
-    spike_level_ += config_.spike_magnitude * rng_.uniform(0.6, 1.4);
-  }
-
-  utilization_ = std::clamp(base + swell + ar_state_ + spike_level_, 0.0, 1.0);
+  factors_.refresh(config_, dt_s);
+  utilization_ = trace_core_step(config_, factors_,
+                                 burst_base(config_, now_s_), now_s_, core_);
   return utilization_;
+}
+
+InteractiveTraceBlock::InteractiveTraceBlock(
+    const InteractiveTraceGenerator& first, std::uint32_t core)
+    : config_(first.config_), now_s_(first.now_s_) {
+  members_.push_back({first.core_, core});
+}
+
+bool InteractiveTraceBlock::try_add(const InteractiveTraceGenerator& generator,
+                                    std::uint32_t core) {
+  if (generator.now_s_ != now_s_ || !(generator.config_ == config_)) {
+    return false;
+  }
+  members_.push_back({generator.core_, core});
+  return true;
+}
+
+SPRINTCON_HOT void InteractiveTraceBlock::step(double dt_s,
+                                               std::span<const double> /*freq*/,
+                                               std::span<double> util) {
+  // The per-block terms: every member has stepped the same dts since it
+  // was built, so its trace time, base and factors are the block's.
+  now_s_ += dt_s;
+  factors_.refresh(config_, dt_s);
+  const double base = burst_base(config_, now_s_);
+  for (Member& m : members_) {
+    util[m.core] = trace_core_step(config_, factors_, base, now_s_, m.state);
+  }
 }
 
 }  // namespace sprintcon::workload

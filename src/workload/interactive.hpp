@@ -12,6 +12,7 @@
 // utilization only (Eq. 5 of the paper).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -25,6 +26,8 @@ namespace sprintcon::workload {
 struct EnvelopePoint {
   double t_s = 0.0;
   double mean_utilization = 0.5;
+
+  bool operator==(const EnvelopePoint&) const = default;
 };
 
 /// Shape parameters of the synthetic interactive trace.
@@ -56,10 +59,44 @@ struct InteractiveTraceConfig {
   /// time, means in [0, 1]); throws InvalidArgumentError. The scenario
   /// loader relies on this when lowering surge windows to envelopes.
   void validate() const;
+
+  /// The envelope's target mean at an absolute trace time (the constant
+  /// mean when no envelope is configured).
+  double envelope_mean(double t_s) const;
+
+  bool operator==(const InteractiveTraceConfig&) const = default;
 };
 
-/// Deterministic per-core interactive utilization generator.
-class InteractiveTraceGenerator final : public UtilizationSource {
+/// AR(1) noise and spike-process discretization factors for one dt. They
+/// depend only on (config, dt); dt is fixed for a whole simulation, so
+/// generators cache them keyed on the last dt seen instead of paying
+/// three exp + one sqrt per core per tick. Cached values come from the
+/// exact same expressions, so cached runs are bit-identical to uncached
+/// ones.
+struct TraceStepFactors {
+  double dt_s = -1.0;  ///< dt the factors were computed for
+  double noise_rho = 0.0;
+  double innovation_sigma = 0.0;
+  double spike_retain = 0.0;
+  double spike_p_arrival = 0.0;
+
+  /// Recompute for `dt_s` unless already cached for it.
+  void refresh(const InteractiveTraceConfig& config, double dt_s);
+};
+
+/// Per-core state of one synthetic trace: its private random stream, the
+/// phase of its slow swell, and its AR(1) noise and spike levels.
+struct TraceCoreState {
+  Rng rng;
+  double phase_s = 0.0;
+  double ar_state = 0.0;
+  double spike_level = 0.0;
+};
+
+/// Deterministic per-core interactive utilization generator. This is the
+/// scalar form; a Server steps its synthetic cores as an
+/// InteractiveTraceBlock, which produces bit-identical utilizations.
+class InteractiveTraceGenerator {
  public:
   /// @param config   trace shape
   /// @param rng      private random stream (use Rng::split per core)
@@ -69,36 +106,65 @@ class InteractiveTraceGenerator final : public UtilizationSource {
 
   /// Advance by dt and return the utilization for the elapsed interval
   /// (trace-driven: the core frequency is ignored).
-  double step(double dt_s, double freq = 1.0) override;
+  double step(double dt_s, double freq = 1.0);
 
   /// Utilization of the last completed interval (initial value before any
   /// step: the idle utilization).
-  double utilization() const noexcept override { return utilization_; }
+  double utilization() const noexcept { return utilization_; }
 
   const InteractiveTraceConfig& config() const noexcept { return config_; }
 
   /// The envelope's target mean at an absolute trace time (the constant
   /// mean when no envelope is configured). Exposed for tests.
-  double envelope_mean(double t_s) const;
+  double envelope_mean(double t_s) const {
+    return config_.envelope_mean(t_s);
+  }
 
  private:
+  friend class InteractiveTraceBlock;
+
   InteractiveTraceConfig config_;
-  Rng rng_;
-  double phase_s_;
+  TraceCoreState core_;
   double now_s_ = 0.0;
-  double ar_state_ = 0.0;
-  double spike_level_ = 0.0;
   double utilization_;
-  // The AR(1)/spike discretization factors depend only on (config, dt).
-  // dt is fixed for a whole simulation, so cache them keyed on the last
-  // dt seen instead of paying three exp + one sqrt per core per tick.
-  // Values are computed by the exact same expressions, so cached runs are
-  // bit-identical to uncached ones.
-  double cached_dt_s_ = -1.0;
-  double noise_rho_ = 0.0;
-  double innovation_sigma_ = 0.0;
-  double spike_retain_ = 0.0;
-  double spike_p_arrival_ = 0.0;
+  TraceStepFactors factors_;
+};
+
+/// The synthetic generators of one server's interactive cores, stepped as
+/// one block. Every member shares the config and the trace time, so the
+/// block computes the per-block terms once per tick — the trace time, the
+/// envelope mean and onset ramp, and the dt-keyed factors — and then runs
+/// one tight loop over the per-core states. Each core keeps its own Rng
+/// and draws in the same order as InteractiveTraceGenerator::step, and
+/// every expression is the scalar one, so the utilizations are
+/// bit-identical to stepping each generator on its own.
+class InteractiveTraceBlock final : public UtilizationSource {
+ public:
+  /// A block holding `first`, driving server core `core`; it takes
+  /// `first`'s config and trace time.
+  InteractiveTraceBlock(const InteractiveTraceGenerator& first,
+                        std::uint32_t core);
+
+  /// Append `generator`, driving server core `core`, if it has this
+  /// block's config and trace time (so its trace can be stepped with the
+  /// block's shared terms); returns false and changes nothing otherwise.
+  bool try_add(const InteractiveTraceGenerator& generator, std::uint32_t core);
+  void reserve(std::size_t n) { members_.reserve(n); }
+
+  /// Hot path (SPRINTCON_HOT).
+  void step(double dt_s, std::span<const double> freq,
+            std::span<double> util) override;
+
+ private:
+  struct Member {
+    TraceCoreState state;
+    std::uint32_t core;
+  };
+
+  InteractiveTraceConfig config_;
+  double now_s_;
+  TraceStepFactors factors_;
+  std::vector<Member> members_;
 };
 
 }  // namespace sprintcon::workload

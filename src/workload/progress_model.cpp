@@ -13,7 +13,7 @@ ProgressModel::ProgressModel(double compute_fraction) : mu_(compute_fraction) {
 
 double ProgressModel::rate(double freq) const {
   SPRINTCON_EXPECTS(freq > 0.0, "frequency must be positive");
-  return 1.0 / (mu_ / freq + (1.0 - mu_));
+  return rate_in_range(freq);
 }
 
 double ProgressModel::time_for(double work, double freq) const {

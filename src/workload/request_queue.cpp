@@ -8,7 +8,9 @@ namespace sprintcon::workload {
 
 RequestQueueSource::RequestQueueSource(const RequestQueueConfig& config,
                                        Rng rng, double phase_s)
-    : config_(config), offered_(config.offered_load, rng, phase_s) {
+    : service_rate_peak_(config.service_rate_peak),
+      max_backlog_(config.max_backlog),
+      offered_(config.offered_load, rng, phase_s) {
   SPRINTCON_EXPECTS(config.service_rate_peak > 0.0,
                     "service rate must be positive");
   SPRINTCON_EXPECTS(config.max_backlog > 0.0, "backlog cap must be positive");
@@ -28,10 +30,10 @@ double RequestQueueSource::step(double dt_s, double freq) {
   // top of the generator so the underlying trace (and its RNG stream)
   // advances identically whether or not traffic is re-routed.
   const double load_fraction = offered_.step(dt_s);
-  arrival_rate_ = load_fraction * config_.service_rate_peak * load_scale_;
+  arrival_rate_ = load_fraction * service_rate_peak_ * load_scale_;
 
   // Fluid queue: capacity this tick, work available, work served.
-  const double capacity = config_.service_rate_peak * freq * dt_s;
+  const double capacity = service_rate_peak_ * freq * dt_s;
   const double arriving = arrival_rate_ * dt_s;
   const double available = backlog_ + arriving;
   const double served = std::min(available, capacity);
@@ -39,9 +41,9 @@ double RequestQueueSource::step(double dt_s, double freq) {
   backlog_ = available - served;
 
   // Admission control: shed load beyond the cap.
-  if (backlog_ > config_.max_backlog) {
-    shed_ += backlog_ - config_.max_backlog;
-    backlog_ = config_.max_backlog;
+  if (backlog_ > max_backlog_) {
+    shed_ += backlog_ - max_backlog_;
+    backlog_ = max_backlog_;
   }
 
   // Busy fraction of the tick.
@@ -52,7 +54,7 @@ double RequestQueueSource::step(double dt_s, double freq) {
   // time at the current speed.
   const double mean_backlog = 0.5 * (backlog_before + backlog_);
   const double service_time =
-      freq > 0.0 ? 1.0 / (config_.service_rate_peak * freq) : 0.0;
+      freq > 0.0 ? 1.0 / (service_rate_peak_ * freq) : 0.0;
   response_s_ = service_time + (arrival_rate_ > 1e-9
                                     ? mean_backlog / arrival_rate_
                                     : 0.0);

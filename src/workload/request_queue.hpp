@@ -15,10 +15,7 @@
 // (queueing.hpp) can only predict.
 #pragma once
 
-#include <memory>
-
 #include "workload/interactive.hpp"
-#include "workload/utilization_source.hpp"
 
 namespace sprintcon::workload {
 
@@ -36,7 +33,7 @@ struct RequestQueueConfig {
 };
 
 /// A per-core request queue driven by a synthetic offered-load trace.
-class RequestQueueSource final : public UtilizationSource {
+class RequestQueueSource {
  public:
   /// @param config config
   /// @param rng    stream for the offered-load generator
@@ -46,8 +43,8 @@ class RequestQueueSource final : public UtilizationSource {
 
   /// Advance the queue by dt with the core at normalized frequency `freq`.
   /// Returns the busy fraction of the interval.
-  double step(double dt_s, double freq) override;
-  double utilization() const noexcept override { return utilization_; }
+  double step(double dt_s, double freq);
+  double utilization() const noexcept { return utilization_; }
 
   /// Requests waiting at the end of the last tick.
   double backlog() const noexcept { return backlog_; }
@@ -67,7 +64,8 @@ class RequestQueueSource final : public UtilizationSource {
   double load_scale() const noexcept { return load_scale_; }
 
  private:
-  RequestQueueConfig config_;
+  double service_rate_peak_;
+  double max_backlog_;
   InteractiveTraceGenerator offered_;
   double backlog_ = 0.0;
   double arrival_rate_ = 0.0;

@@ -108,6 +108,10 @@ ReplayUtilization::ReplayUtilization(RecordedTrace trace, double scale,
   SPRINTCON_EXPECTS(trace_.dt_s > 0.0, "trace dt must be positive");
   SPRINTCON_EXPECTS(scale > 0.0, "scale must be positive");
   SPRINTCON_EXPECTS(offset_s >= 0.0, "offset must be non-negative");
+  // value_at clamps into [0, 1]; finite samples keep the result a number.
+  for (const double v : trace_.samples) {
+    SPRINTCON_EXPECTS(std::isfinite(v), "trace samples must be finite");
+  }
   utilization_ = value_at(position_s_);
 }
 

@@ -14,8 +14,7 @@
 namespace sprintcon::core {
 namespace {
 
-using server::CoreRole;
-using server::CpuCore;
+using server::CoreSpec;
 using server::PlatformSpec;
 using server::Rack;
 using server::Server;
@@ -28,17 +27,18 @@ std::unique_ptr<Rack> small_rack(std::size_t n_servers = 2,
   const auto profiles = workload::spec2006_profiles();
   std::size_t pi = 0;
   for (std::size_t s = 0; s < n_servers; ++s) {
-    std::vector<CpuCore> cores;
+    std::vector<CoreSpec> cores;
     for (std::size_t c = 0; c < spec.cores_per_server; ++c) {
       if (c < 4) {
-        cores.emplace_back(spec.freq_min, spec.freq_max,
-                           workload::InteractiveTraceGenerator(
-                               workload::InteractiveTraceConfig{}, rng.split()));
+        cores.push_back({spec.freq_min, spec.freq_max,
+                         workload::InteractiveTraceGenerator(
+                             workload::InteractiveTraceConfig{}, rng.split())});
       } else {
-        auto job = std::make_unique<workload::BatchJob>(
-            profiles[pi++ % profiles.size()], deadline_s, 400.0,
-            workload::CompletionMode::kRunOnce, rng.split());
-        cores.emplace_back(spec.freq_min, spec.freq_max, std::move(job));
+        cores.push_back({spec.freq_min, spec.freq_max,
+                         workload::BatchJob(profiles[pi++ % profiles.size()],
+                                            deadline_s, 400.0,
+                                            workload::CompletionMode::kRunOnce,
+                                            rng.split())});
       }
     }
     servers.emplace_back(spec, std::move(cores), rng.split());
@@ -126,7 +126,8 @@ TEST(ServerController, UrgentJobGetsMoreFrequency) {
   // Run server 1's batch cores at peak to finish them early; keep server 0
   // at the floor.
   for (const auto& ref : rack->batch_cores()) {
-    rack->core(ref).set_freq(ref.server == 1 ? 1.0 : 0.2);
+    rack->servers()[ref.server].set_freq(ref.core,
+                                         ref.server == 1 ? 1.0 : 0.2);
   }
   for (int i = 0; i < 420; ++i) {
     rack->step(clock);
@@ -162,7 +163,9 @@ TEST(ServerController, CompletedJobsIdleTheirCores) {
                              server::LinearPowerModel(server::paper_platform()));
   sim::SimClock clock(1.0);
   // Run everything at peak until all jobs complete.
-  for (const auto& ref : rack->batch_cores()) rack->core(ref).set_freq(1.0);
+  for (const auto& ref : rack->batch_cores()) {
+    rack->servers()[ref.server].set_freq(ref.core, 1.0);
+  }
   for (int i = 0; i < 600; ++i) {
     rack->step(clock);
     clock.advance();

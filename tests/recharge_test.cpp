@@ -102,10 +102,10 @@ TEST(DedicatedServers, SplitsTheRackByServer) {
   Rig rig(cfg);
   // First half of the servers: all interactive; second half: all batch.
   const auto& servers = rig.rack().servers();
-  EXPECT_EQ(servers[0].count(server::CoreRole::kBatch), 0u);
-  EXPECT_EQ(servers[0].count(server::CoreRole::kInteractive), 8u);
-  EXPECT_EQ(servers.back().count(server::CoreRole::kBatch), 8u);
-  EXPECT_EQ(servers.back().count(server::CoreRole::kInteractive), 0u);
+  EXPECT_EQ(servers[0].batch_cores().size(), 0u);
+  EXPECT_EQ(servers[0].interactive_cores().size(), 8u);
+  EXPECT_EQ(servers.back().batch_cores().size(), 8u);
+  EXPECT_EQ(servers.back().interactive_cores().size(), 0u);
   // Same class totals as the colocated default (4 servers x 8 cores).
   EXPECT_EQ(rig.rack().batch_cores().size(), 16u);
 }

@@ -18,6 +18,7 @@
 #include "recovery/playbook.hpp"
 #include "recovery/recovery.hpp"
 #include "scenario/rig.hpp"
+#include "sim/clock.hpp"
 
 namespace sprintcon::recovery {
 namespace {
@@ -343,6 +344,34 @@ TEST(RecoveryRig, EngineNeverPerturbsAHealthyRun) {
       ASSERT_EQ(sa[i], sb[i]) << channel << " diverges at sample " << i;
     }
   }
+}
+
+TEST(RecoveryRig, PidFallbackCountsEveryFallbackPeriod) {
+  // Hold the SprintCon controller in the L1 PI fallback for a stretch of
+  // the sprint: every control period in that stretch runs one PI update,
+  // and control.pid_updates (resolved once in set_obs) counts each one.
+  scenario::RigConfig config;
+  config.policy = scenario::Policy::kSprintCon;
+  config.observability = true;
+  scenario::Rig rig(config);
+  core::SprintConController& ctrl = *rig.sprintcon();
+  const sim::SimClock& clock = rig.simulation().clock();
+  rig.run_until(100.0);
+  ASSERT_EQ(rig.obs()->metrics().snapshot().counter("control.pid_updates", 0),
+            0u);
+
+  ctrl.set_control_mode(core::ControlMode::kPidFallback);
+  std::uint64_t fallback_periods = 0;
+  while (clock.now_s() < 300.0) {
+    if (clock.every(config.sprint.control_period_s)) ++fallback_periods;
+    rig.run_until(clock.now_s() + config.dt_s);
+  }
+  ctrl.set_control_mode(core::ControlMode::kNormal);
+  rig.run();
+
+  EXPECT_EQ(fallback_periods, 100u);
+  EXPECT_EQ(rig.obs()->metrics().snapshot().counter("control.pid_updates", 0),
+            fallback_periods);
 }
 
 struct MttrCase {

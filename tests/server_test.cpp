@@ -2,7 +2,8 @@
 // fans, cores, servers, rack aggregation.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -18,21 +19,22 @@ using workload::CompletionMode;
 using workload::InteractiveTraceConfig;
 using workload::InteractiveTraceGenerator;
 
-CpuCore make_interactive(const PlatformSpec& spec, std::uint64_t seed = 1) {
-  return CpuCore(spec.freq_min, spec.freq_max,
-                 InteractiveTraceGenerator(InteractiveTraceConfig{}, Rng(seed)));
+CoreSpec make_interactive(const PlatformSpec& spec, std::uint64_t seed = 1) {
+  return {spec.freq_min, spec.freq_max,
+          InteractiveTraceGenerator(InteractiveTraceConfig{}, Rng(seed))};
 }
 
-CpuCore make_batch(const PlatformSpec& spec, std::uint64_t seed = 2,
-                   double work_s = 300.0) {
-  auto job = std::make_unique<BatchJob>(
-      workload::spec2006_profile("401.bzip2"), /*deadline_s=*/720.0, work_s,
-      CompletionMode::kRunOnce, Rng(seed));
-  return CpuCore(spec.freq_min, spec.freq_max, std::move(job));
+CoreSpec make_batch(const PlatformSpec& spec, std::uint64_t seed = 2,
+                    double work_s = 300.0) {
+  return {spec.freq_min, spec.freq_max,
+          BatchJob(workload::spec2006_profile("401.bzip2"),
+                   /*deadline_s=*/720.0, work_s, CompletionMode::kRunOnce,
+                   Rng(seed))};
 }
 
+/// Cores [0, interactive) are interactive, the rest batch.
 Server make_server(const PlatformSpec& spec, std::size_t interactive = 4) {
-  std::vector<CpuCore> cores;
+  std::vector<CoreSpec> cores;
   for (std::size_t c = 0; c < spec.cores_per_server; ++c) {
     if (c < interactive) {
       cores.push_back(make_interactive(spec, 10 + c));
@@ -162,33 +164,56 @@ TEST(Fan, BoundedByPeak) {
 
 TEST(Core, FrequencyClampsToBounds) {
   const PlatformSpec spec = paper_platform();
-  CpuCore core = make_batch(spec);
-  core.set_freq(5.0);
-  EXPECT_DOUBLE_EQ(core.freq(), spec.freq_max);
-  core.set_freq(0.01);
-  EXPECT_DOUBLE_EQ(core.freq(), spec.freq_min);
+  Server server = make_server(spec);
+  const std::size_t batch = server.batch_cores().front();
+  server.set_freq(batch, 5.0);
+  EXPECT_DOUBLE_EQ(server.freq(batch), spec.freq_max);
+  server.set_freq(batch, 0.01);
+  EXPECT_DOUBLE_EQ(server.freq(batch), spec.freq_min);
+  // The clamp cannot bound a NaN, so the write itself is refused.
+  EXPECT_THROW(server.set_freq(batch, std::nan("")),
+               sprintcon::InvalidArgumentError);
+  EXPECT_DOUBLE_EQ(server.freq(batch), spec.freq_min);
 }
 
 TEST(Core, InteractiveStartsAtPeakBatchAtFloor) {
   const PlatformSpec spec = paper_platform();
-  EXPECT_DOUBLE_EQ(make_interactive(spec).freq(), spec.freq_max);
-  EXPECT_DOUBLE_EQ(make_batch(spec).freq(), spec.freq_min);
+  const Server server = make_server(spec);
+  for (const std::uint32_t c : server.interactive_cores()) {
+    EXPECT_DOUBLE_EQ(server.freq(c), spec.freq_max);
+  }
+  for (const std::uint32_t c : server.batch_cores()) {
+    EXPECT_DOUBLE_EQ(server.freq(c), spec.freq_min);
+  }
 }
 
 TEST(Core, StepUpdatesUtilizationByRole) {
   const PlatformSpec spec = paper_platform();
-  CpuCore inter = make_interactive(spec);
-  inter.step(1.0, 0.0);
-  EXPECT_GT(inter.utilization(), 0.0);
-  EXPECT_EQ(inter.job(), nullptr);
+  Server server = make_server(spec);
+  const std::size_t inter = server.interactive_cores().front();
+  const std::size_t batch = server.batch_cores().front();
+  server.set_freq(batch, 1.0);
+  server.step(1.0, 0.0);
+  EXPECT_GT(server.utilization(inter), 0.0);
+  EXPECT_EQ(server.job(inter), nullptr);
+  EXPECT_GT(server.utilization(batch), 0.8);
+  ASSERT_NE(server.job(batch), nullptr);
+  EXPECT_GT(server.job(batch)->progress(), 0.0);
+}
 
-  CpuCore batch = make_batch(spec);
-  batch.set_freq(1.0);
-  batch.step(1.0, 0.0);
-  EXPECT_GT(batch.utilization(), 0.8);
-  EXPECT_GT(batch.counters().cycles, 0.0);
-  ASSERT_NE(batch.job(), nullptr);
-  EXPECT_GT(batch.job()->progress(), 0.0);
+TEST(Core, BoundsAreValidatedOnInstall) {
+  const PlatformSpec spec = paper_platform();
+  for (const auto& [lo, hi] : {std::pair{0.0, 1.0}, std::pair{0.6, 0.5},
+                               std::pair{0.2, 1.5}}) {
+    std::vector<CoreSpec> cores;
+    for (std::size_t c = 0; c < spec.cores_per_server; ++c) {
+      cores.push_back(make_batch(spec, 20 + c));
+    }
+    cores.front().freq_min = lo;
+    cores.front().freq_max = hi;
+    EXPECT_THROW(Server(spec, std::move(cores), Rng(1)),
+                 sprintcon::InvalidArgumentError);
+  }
 }
 
 // --- server -----------------------------------------------------------------
@@ -205,9 +230,24 @@ TEST(Server, PowerSplitsByClass) {
   const PlatformSpec spec = paper_platform();
   Server server = make_server(spec);
   server.step(1.0, 0.0);
-  EXPECT_GT(server.interactive_dynamic_w(), 0.0);
-  EXPECT_GT(server.batch_dynamic_w(), 0.0);
+  double inter = 0.0, batch = 0.0;
+  for (const std::uint32_t c : server.interactive_cores()) {
+    inter += server.dynamic_w(c);
+  }
+  for (const std::uint32_t c : server.batch_cores()) {
+    batch += server.dynamic_w(c);
+  }
+  EXPECT_GT(inter, 0.0);
+  EXPECT_GT(batch, 0.0);
   EXPECT_GE(server.fan_power_w(), 0.0);
+  EXPECT_DOUBLE_EQ(server.power_w(),
+                   spec.idle_power_w + (inter + batch) + server.fan_power_w());
+}
+
+TEST(Server, StepRejectsNonPositiveDt) {
+  Server server = make_server(paper_platform());
+  EXPECT_THROW(server.step(0.0, 0.0), sprintcon::InvalidArgumentError);
+  EXPECT_THROW(server.step(-1.0, 0.0), sprintcon::InvalidArgumentError);
 }
 
 TEST(Server, PoweredOffConsumesNothingAndHaltsProgress) {
@@ -217,19 +257,18 @@ TEST(Server, PoweredOffConsumesNothingAndHaltsProgress) {
   Rack rack(std::move(servers));
   Server& server = rack.servers().front();
   server.step(1.0, 0.0);
-  const double progress =
-      server.cores().back().job()->progress();
+  const double progress = server.job(7)->progress();
   server.set_powered(false);
   server.step(1.0, 1.0);
   EXPECT_DOUBLE_EQ(server.power_w(), 0.0);
   // The frequency metric sees a dark server at 0 (the Fig. 5(b) collapse).
   EXPECT_DOUBLE_EQ(rack.telemetry().freq_batch, 0.0);
-  EXPECT_DOUBLE_EQ(server.cores().back().job()->progress(), progress);
+  EXPECT_DOUBLE_EQ(server.job(7)->progress(), progress);
 }
 
 TEST(Server, WrongCoreCountThrows) {
   const PlatformSpec spec = paper_platform();
-  std::vector<CpuCore> cores;
+  std::vector<CoreSpec> cores;
   cores.push_back(make_interactive(spec));
   EXPECT_THROW(Server(spec, std::move(cores), Rng(1)),
                sprintcon::InvalidArgumentError);
@@ -238,8 +277,11 @@ TEST(Server, WrongCoreCountThrows) {
 TEST(Server, CountsRoles) {
   const PlatformSpec spec = paper_platform();
   Server server = make_server(spec, 3);
-  EXPECT_EQ(server.count(CoreRole::kInteractive), 3u);
-  EXPECT_EQ(server.count(CoreRole::kBatch), 5u);
+  EXPECT_EQ(server.interactive_cores().size(), 3u);
+  EXPECT_EQ(server.batch_cores().size(), 5u);
+  for (const std::uint32_t c : server.batch_cores()) {
+    EXPECT_TRUE(server.is_batch(c));
+  }
 }
 
 // --- rack -------------------------------------------------------------------
@@ -274,10 +316,11 @@ TEST(Rack, MeanFreqByRole) {
   EXPECT_DOUBLE_EQ(rack.telemetry().freq_batch, 0.2);
 }
 
-TEST(Rack, ForEachCoreAppliesByRole) {
+TEST(Rack, RoleSpansSetFreqByRole) {
   Rack rack = make_rack(2);
-  rack.for_each_core(CoreRole::kBatch,
-                     [](CpuCore& c) { c.set_freq(0.7); });
+  for (Server& s : rack.servers()) {
+    for (const std::uint32_t c : s.batch_cores()) s.set_freq(c, 0.7);
+  }
   EXPECT_NEAR(rack.telemetry().freq_batch, 0.7, 1e-12);
   EXPECT_DOUBLE_EQ(rack.telemetry().freq_interactive, 1.0);
 }
@@ -285,7 +328,7 @@ TEST(Rack, ForEachCoreAppliesByRole) {
 TEST(Rack, PowerOffAll) {
   Rack rack = make_rack(2);
   rack.set_all_powered(false);
-  EXPECT_FALSE(rack.any_powered());
+  for (const Server& s : rack.servers()) EXPECT_FALSE(s.powered());
   sim::SimClock clock(1.0);
   rack.step(clock);
   EXPECT_DOUBLE_EQ(rack.total_power_w(), 0.0);

@@ -1,12 +1,15 @@
-// Tests for the per-core thermal model and the controller's thermal guard.
+// Tests for the per-core thermal model (the scalar reference in
+// tests/core_thermal_model.hpp), the server's thermal state and the
+// controller's thermal guard.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/server_controller.hpp"
-#include "server/thermal.hpp"
+#include "core_thermal_model.hpp"
 #include "sim/clock.hpp"
 #include "workload/batch_profile.hpp"
 
@@ -81,24 +84,24 @@ TEST(Thermal, StepInputValidation) {
   EXPECT_THROW(model.step(1.0, 0.0), sprintcon::InvalidArgumentError);
 }
 
-// --- integration with CpuCore / controller ----------------------------------
+// --- integration with Server / controller -----------------------------------
 
 std::unique_ptr<Rack> hot_rack() {
   // One server, degraded cooling on the batch cores.
   const PlatformSpec spec = paper_platform();
   Rng rng(321);
-  std::vector<CpuCore> cores;
+  std::vector<CoreSpec> cores;
   for (std::size_t c = 0; c < spec.cores_per_server; ++c) {
     if (c < 4) {
-      cores.emplace_back(spec.freq_min, spec.freq_max,
-                         workload::InteractiveTraceGenerator(
-                             workload::InteractiveTraceConfig{}, rng.split()));
+      cores.push_back({spec.freq_min, spec.freq_max,
+                       workload::InteractiveTraceGenerator(
+                           workload::InteractiveTraceConfig{}, rng.split())});
     } else {
-      cores.emplace_back(spec.freq_min, spec.freq_max,
-                         std::make_unique<workload::BatchJob>(
-                             workload::spec2006_profile("444.namd"), 900.0,
-                             1e6, workload::CompletionMode::kRunOnce,
-                             rng.split()));
+      cores.push_back({spec.freq_min, spec.freq_max,
+                       workload::BatchJob(workload::spec2006_profile("444.namd"),
+                                          900.0, 1e6,
+                                          workload::CompletionMode::kRunOnce,
+                                          rng.split())});
     }
   }
   std::vector<Server> servers;
@@ -106,8 +109,7 @@ std::unique_ptr<Rack> hot_rack() {
   auto rack = std::make_unique<Rack>(std::move(servers));
   ThermalSpec hot;
   hot.resistance_c_per_w = 4.0;  // degraded cooling
-  for (Server& s : rack->servers())
-    for (CpuCore& c : s.cores()) c.attach_thermal(hot);
+  for (Server& s : rack->servers()) s.attach_thermal(hot);
   return rack;
 }
 
@@ -153,23 +155,31 @@ TEST(ThermalGuard, DisabledGuardLetsCoresOverheat) {
   }
   bool any_critical = false;
   for (const auto& ref : rack->batch_cores()) {
-    const CpuCore& core = rack->core(ref);
-    any_critical = any_critical ||
-                   core.temperature_c() >= ThermalSpec{}.critical_temp_c;
+    any_critical = any_critical || rack->core(ref).temperature_c() >=
+                                       ThermalSpec{}.critical_temp_c;
   }
   EXPECT_TRUE(any_critical);
 }
 
 TEST(ThermalGuard, CoreWithoutModelNeverThrottles) {
+  // A server without attach_thermal reports ambient and never throttles,
+  // however hard its cores run.
   const PlatformSpec spec = paper_platform();
-  CpuCore core(spec.freq_min, spec.freq_max,
-               std::make_unique<workload::BatchJob>(
-                   workload::spec2006_profile("444.namd"), 900.0, 100.0,
-                   workload::CompletionMode::kRunOnce, Rng(1)));
-  EXPECT_FALSE(core.has_thermal());
-  EXPECT_FALSE(core.thermally_throttled());
-  core.update_thermal(100.0, 1.0);  // no-op
-  EXPECT_DOUBLE_EQ(core.temperature_c(), ThermalSpec{}.ambient_c);
+  std::vector<CoreSpec> cores;
+  for (std::size_t c = 0; c < spec.cores_per_server; ++c) {
+    cores.push_back({spec.freq_min, spec.freq_max,
+                     workload::BatchJob(workload::spec2006_profile("444.namd"),
+                                        900.0, 100.0,
+                                        workload::CompletionMode::kRunOnce,
+                                        Rng(1 + c))});
+  }
+  Server server(spec, std::move(cores), Rng(2));
+  for (std::size_t c = 0; c < server.num_cores(); ++c) server.set_freq(c, 1.0);
+  for (int t = 0; t < 60; ++t) server.step(1.0, t);
+  for (std::size_t c = 0; c < server.num_cores(); ++c) {
+    EXPECT_FALSE(server.thermally_throttled(c));
+    EXPECT_DOUBLE_EQ(server.temperature_c(c), ThermalSpec{}.ambient_c);
+  }
 }
 
 }  // namespace
