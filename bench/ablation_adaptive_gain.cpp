@@ -25,7 +25,7 @@ std::unique_ptr<server::Rack> rack_with_gain_error(double cubic_share) {
   server::PlatformSpec spec = server::paper_platform();
   spec.cubic_power_share = cubic_share;
   Rng rng(99);
-  std::vector<server::Server> servers;
+  std::vector<server::ServerSpec> servers;
   const auto profiles = workload::spec2006_profiles();
   std::size_t pi = 0;
   for (std::size_t s = 0; s < 4; ++s) {
@@ -42,9 +42,9 @@ std::unique_ptr<server::Rack> rack_with_gain_error(double cubic_share) {
                              workload::CompletionMode::kRunOnce, rng.split())});
       }
     }
-    servers.emplace_back(spec, std::move(cores), rng.split());
+    servers.push_back({std::move(cores), rng.split()});
   }
-  return std::make_unique<server::Rack>(std::move(servers));
+  return std::make_unique<server::Rack>(spec, std::move(servers));
 }
 
 double track(double cubic_share, bool adaptive, double* learned_gain) {

@@ -21,7 +21,7 @@ using namespace sprintcon;
 std::unique_ptr<server::Rack> batch_rack(std::size_t n_servers) {
   const server::PlatformSpec spec = server::paper_platform();
   Rng rng(55);
-  std::vector<server::Server> servers;
+  std::vector<server::ServerSpec> servers;
   const auto profiles = workload::spec2006_profiles();
   std::size_t pi = 0;
   for (std::size_t s = 0; s < n_servers; ++s) {
@@ -38,9 +38,9 @@ std::unique_ptr<server::Rack> batch_rack(std::size_t n_servers) {
                              workload::CompletionMode::kRunOnce, rng.split())});
       }
     }
-    servers.emplace_back(spec, std::move(cores), rng.split());
+    servers.push_back({std::move(cores), rng.split()});
   }
-  return std::make_unique<server::Rack>(std::move(servers));
+  return std::make_unique<server::Rack>(spec, std::move(servers));
 }
 
 struct TrackingResult {

@@ -24,7 +24,7 @@ using namespace sprintcon;
 std::unique_ptr<server::Rack> batch_rack() {
   const server::PlatformSpec spec = server::paper_platform();
   Rng rng(66);
-  std::vector<server::Server> servers;
+  std::vector<server::ServerSpec> servers;
   const auto profiles = workload::spec2006_profiles();
   std::size_t pi = 0;
   for (std::size_t s = 0; s < 4; ++s) {
@@ -41,9 +41,9 @@ std::unique_ptr<server::Rack> batch_rack() {
                              workload::CompletionMode::kRunOnce, rng.split())});
       }
     }
-    servers.emplace_back(spec, std::move(cores), rng.split());
+    servers.push_back({std::move(cores), rng.split()});
   }
-  return std::make_unique<server::Rack>(std::move(servers));
+  return std::make_unique<server::Rack>(spec, std::move(servers));
 }
 
 struct Outcome {
@@ -104,10 +104,8 @@ Outcome run_pi(double target_w) {
   pid.output_min = 0.2;
   pid.output_max = 1.0;
   control::PiController pi(pid);
-  for (server::Server& s : rack->servers()) {
-    for (const std::uint32_t c : s.interactive_cores()) {
-      s.set_freq(c, s.freq_max(c));
-    }
+  for (const std::uint32_t c : rack->interactive_ids()) {
+    rack->set_freq(c, rack->freq_max(c));
   }
 
   sim::SimClock clock(1.0);
@@ -117,20 +115,17 @@ Outcome run_pi(double target_w) {
     rack->step(clock);
     // Same feedback signal the MPC uses (Eq. 6).
     double p_inter = 0.0;
-    for (const auto& s : rack->servers()) {
-      for (const std::uint32_t c : s.interactive_cores()) {
-        p_inter += model.interactive_power_w(s.utilization(c));
-      }
+    for (const std::uint32_t c : rack->interactive_ids()) {
+      p_inter += model.interactive_power_w(rack->utilization(c));
     }
     const double p_fb = std::max(0.0, rack->total_power_w() - p_inter);
     if (clock.every(2.0)) {
       const double f = pi.step(target_w, p_fb, 2.0);
-      for (server::Server& s : rack->servers()) {
-        const auto jobs = s.jobs();
-        const auto batch = s.batch_cores();
-        for (std::size_t k = 0; k < batch.size(); ++k) {
-          s.set_freq(batch[k], jobs[k].completed() ? s.freq_min(batch[k]) : f);
-        }
+      const auto jobs = rack->jobs();
+      const auto batch = rack->batch_ids();
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        rack->set_freq(batch[k],
+                       jobs[k].completed() ? rack->freq_min(batch[k]) : f);
       }
     }
     if (t > 30 && t < 350) {

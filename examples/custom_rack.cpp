@@ -23,7 +23,7 @@ int main() {
 
   // --- servers: 6 interactive + 2 batch cores each -----------------------
   const std::size_t kServers = 8;
-  std::vector<server::Server> servers;
+  std::vector<server::ServerSpec> servers;
   const auto profiles = workload::spec2006_profiles();
   std::size_t profile_index = 0;
   for (std::size_t s = 0; s < kServers; ++s) {
@@ -43,9 +43,9 @@ int main() {
                              workload::CompletionMode::kRunOnce, rng.split())});
       }
     }
-    servers.emplace_back(spec, std::move(cores), rng.split());
+    servers.push_back({std::move(cores), rng.split()});
   }
-  server::Rack rack(std::move(servers));
+  server::Rack rack(spec, std::move(servers));
 
   // --- power path: 1.6 kW breaker @1.2x, 250 Wh UPS ------------------------
   core::SprintConfig sprint = core::paper_config();

@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   // --- build a rack whose interactive cores replay the trace -----------------
   const server::PlatformSpec spec = server::paper_platform();
   Rng rng(2025);
-  std::vector<server::Server> servers;
+  std::vector<server::ServerSpec> servers;
   const auto profiles = workload::spec2006_profiles();
   std::size_t pi = 0;
   for (std::size_t s = 0; s < 8; ++s) {
@@ -153,9 +153,9 @@ int main(int argc, char** argv) {
                                             rng.split())});
       }
     }
-    servers.emplace_back(spec, std::move(cores), rng.split());
+    servers.push_back({std::move(cores), rng.split()});
   }
-  server::Rack rack(std::move(servers));
+  server::Rack rack(spec, std::move(servers));
 
   core::SprintConfig sprint = core::paper_config();
   sprint.cb_rated_w = 8.0 * 300.0 * (2.0 / 3.0);  // 1.6 kW for 8 servers
@@ -178,13 +178,10 @@ int main(int argc, char** argv) {
             << "  mean interactive util "
             << [&rack] {
                  double u = 0.0;
-                 std::size_t n = 0;
-                 for (const auto& s : rack.servers())
-                   for (const std::uint32_t c : s.interactive_cores()) {
-                     u += s.utilization(c);
-                     ++n;
-                   }
-                 return u / static_cast<double>(n);
+                 for (const std::uint32_t c : rack.interactive_ids()) {
+                   u += rack.utilization(c);
+                 }
+                 return u / static_cast<double>(rack.interactive_ids().size());
                }()
             << "\n  sprint state:         " << core::to_string(sprintcon.state())
             << "\n";

@@ -47,6 +47,13 @@ def check_rack(i: int, rack: dict) -> None:
         fail(f"rack {i}: no MPC solves recorded")
     if counters.get("mpc.qp.iterations", 0) <= 0:
         fail(f"rack {i}: no QP search passes recorded")
+    # The rack's swell memo counters: every synthetic core's swell is
+    # either evaluated or reused, and the canonical rack reuses most.
+    for key in ("workload.swell_evaluations", "workload.swell_reused"):
+        if key not in counters:
+            fail(f"rack {i}: missing counter '{key}'")
+    if counters["workload.swell_evaluations"] <= 0:
+        fail(f"rack {i}: no swell evaluations recorded")
 
     summary = rack["summary"]
     for key in ("avg_freq_batch", "ups_discharged_wh", "cb_trips",

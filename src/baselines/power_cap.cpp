@@ -9,16 +9,14 @@ control::PidConfig cap_gains(const core::SprintConfig& config,
   // Output is the uniform normalized frequency. Scale the gains by the
   // rack's approximate watts-per-unit-frequency so the loop behaves the
   // same at any rack size.
-  double total_cores = 0.0;
-  for (const auto& s : rack.servers())
-    total_cores += static_cast<double>(s.num_cores());
-  const double watts_per_f = 18.0 * total_cores;  // rough rack-level gain
+  const double watts_per_f =
+      18.0 * static_cast<double>(rack.num_cores());  // rough rack-level gain
 
   control::PidConfig pid;
   pid.kp = 0.2 / watts_per_f;
   pid.ki = 0.4 / watts_per_f;
-  pid.output_min = rack.servers().front().spec().freq_min;
-  pid.output_max = rack.servers().front().spec().freq_max;
+  pid.output_min = rack.platform().freq_min;
+  pid.output_max = rack.platform().freq_max;
   (void)config;
   return pid;
 }
@@ -32,7 +30,7 @@ PowerCapController::PowerCapController(const core::SprintConfig& config,
       rack_(rack),
       path_(path),
       pi_(cap_gains(config, rack)),
-      freq_(rack.servers().front().spec().freq_min) {
+      freq_(rack.platform().freq_min) {
   config.validate();
 }
 
@@ -44,13 +42,14 @@ void PowerCapController::step(const sim::SimClock& clock) {
     // breaker never integrates heat.
     const double setpoint = 0.98 * config_.cb_rated_w;
     freq_ = pi_.step(setpoint, p_total, config_.control_period_s);
-    for (server::Server& s : rack_.servers()) {
-      for (const std::uint32_t c : s.interactive_cores()) s.set_freq(c, freq_);
-      const std::span<const workload::BatchJob> jobs = s.jobs();
-      const std::span<const std::uint32_t> batch = s.batch_cores();
-      for (std::size_t k = 0; k < batch.size(); ++k) {
-        s.set_freq(batch[k], jobs[k].completed() ? s.freq_min(batch[k]) : freq_);
-      }
+    for (const std::uint32_t c : rack_.interactive_ids()) {
+      rack_.set_freq(c, freq_);
+    }
+    const std::span<const workload::BatchJob> jobs = rack_.jobs();
+    const std::span<const std::uint32_t> batch = rack_.batch_ids();
+    for (std::size_t k = 0; k < batch.size(); ++k) {
+      rack_.set_freq(batch[k],
+                     jobs[k].completed() ? rack_.freq_min(batch[k]) : freq_);
     }
   }
 

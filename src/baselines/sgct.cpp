@@ -26,7 +26,7 @@ SgctController::SgctController(const core::SprintConfig& config,
       variant_(variant),
       normal_freq_(normal_freq),
       sprint_threshold_(sprint_threshold),
-      oracle_(rack.servers().front().spec()) {
+      oracle_(rack.platform()) {
   config.validate();
   SPRINTCON_EXPECTS(normal_freq > 0.0 && normal_freq <= 1.0,
                     "normal frequency must be in (0, 1]");
@@ -50,15 +50,9 @@ double SgctController::cb_target_at(double t_s) const {
 
 std::vector<SgctController::CoreSlot> SgctController::prioritized_cores() {
   std::vector<CoreSlot> slots;
-  for (server::Server& s : rack_.servers()) {
-    for (std::uint32_t c = 0; c < s.num_cores(); ++c) {
-      CoreSlot slot;
-      slot.server = &s;
-      slot.core = c;
-      slot.utilization = s.utilization(c);
-      slot.interactive = !s.is_batch(c);
-      slots.push_back(slot);
-    }
+  slots.reserve(rack_.num_cores());
+  for (std::uint32_t c = 0; c < rack_.num_cores(); ++c) {
+    slots.push_back({c, rack_.utilization(c), !rack_.is_batch(c)});
   }
   const bool interactive_first = variant_ == SgctVariant::kV2;
   std::sort(slots.begin(), slots.end(),
@@ -87,11 +81,11 @@ double SgctController::core_power_estimate_w(const CoreSlot& slot,
 
 double SgctController::fixed_power_estimate_w() const {
   double fixed = 0.0;
-  for (const server::Server& s : rack_.servers()) {
-    if (!s.powered()) continue;
-    fixed += s.spec().idle_power_w;
+  if (!rack_.powered()) return fixed;
+  for (std::size_t s = 0; s < rack_.num_servers(); ++s) {
+    fixed += rack_.platform().idle_power_w;
     if (variant_ != SgctVariant::kRaw) {
-      fixed += s.fan_power_w();  // the oracle sees the fans; raw SGCT not
+      fixed += rack_.fan_power_w(s);  // the oracle sees the fans; raw SGCT not
     }
   }
   return fixed;
@@ -104,33 +98,31 @@ void SgctController::allocate_frequencies(double budget_w) {
   // run-once jobs idle at the DVFS floor); the budget is then spent raising
   // sprint candidates toward peak in priority order.
   double used = fixed_power_estimate_w();
-  const auto idle_job = [](const CoreSlot& slot) {
-    const workload::BatchJob* job = slot.server->job(slot.core);
+  const auto idle_job = [this](const CoreSlot& slot) {
+    const workload::BatchJob* job = rack_.job(slot.core);
     return job != nullptr && job->completed();
   };
   for (const CoreSlot& slot : slots) {
-    server::Server& server = *slot.server;
     if (idle_job(slot)) {
-      server.set_freq(slot.core, server.freq_min(slot.core));
+      rack_.set_freq(slot.core, rack_.freq_min(slot.core));
     } else {
-      server.set_freq(slot.core, normal_freq_);
+      rack_.set_freq(slot.core, normal_freq_);
       used += core_power_estimate_w(slot, normal_freq_);
     }
   }
 
   for (CoreSlot& slot : slots) {
-    server::Server& server = *slot.server;
     if (idle_job(slot)) continue;
     // Cooperative threshold: a core whose utilization does not justify the
     // sprinting power stays at the normal frequency.
     if (slot.utilization < sprint_threshold_) continue;
 
     const double at_normal = core_power_estimate_w(slot, normal_freq_);
-    const double freq_max = server.freq_max(slot.core);
+    const double freq_max = rack_.freq_max(slot.core);
     const double at_peak = core_power_estimate_w(slot, freq_max);
     const double delta = at_peak - at_normal;
     if (used + delta <= budget_w) {
-      server.set_freq(slot.core, freq_max);
+      rack_.set_freq(slot.core, freq_max);
       used += delta;
       continue;
     }
@@ -148,7 +140,7 @@ void SgctController::allocate_frequencies(double budget_w) {
         lo = mid;
       }
     }
-    server.set_freq(slot.core, lo);
+    rack_.set_freq(slot.core, lo);
     used += core_power_estimate_w(slot, lo) - at_normal;
   }
 }

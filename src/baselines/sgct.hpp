@@ -65,8 +65,7 @@ class SgctController : public sim::Component {
 
  private:
   struct CoreSlot {
-    server::Server* server = nullptr;
-    std::uint32_t core = 0;
+    std::uint32_t core = 0;  ///< rack core id
     double utilization = 0.0;
     bool interactive = false;
   };

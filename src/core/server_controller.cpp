@@ -32,13 +32,11 @@ double ServerPowerController::estimate_interactive_power_w() const {
   // peak power would under-attribute the batch class and make the MPC
   // push batch frequencies up against the cap.
   double p = 0.0;
-  for (const server::Server& s : rack_.servers()) {
-    const bool powered = s.powered();
-    for (const std::uint32_t c : s.interactive_cores()) {
-      const double u = powered ? s.utilization(c) : 0.0;
-      p += model_.constant_w() +
-           model_.interactive_gain_w_per_util() * u * s.freq(c);
-    }
+  const bool powered = rack_.powered();
+  for (const std::uint32_t c : rack_.interactive_ids()) {
+    const double u = powered ? rack_.utilization(c) : 0.0;
+    p += model_.constant_w() +
+         model_.interactive_gain_w_per_util() * u * rack_.freq(c);
   }
   return p;
 }
@@ -67,28 +65,25 @@ void ServerPowerController::update(double p_total_w, double p_batch_target_w,
   // frequency sum feeds the adaptive-gain observation below, which may
   // change the gain, so the gains are filled in afterwards.
   double freq_sum = 0.0;
-  std::size_t i = 0;
-  for (const server::Server& s : rack_.servers()) {
-    const std::span<const workload::BatchJob> jobs = s.jobs();
-    const std::span<const std::uint32_t> cores = s.batch_cores();
-    for (std::size_t k = 0; k < cores.size(); ++k, ++i) {
-      const std::uint32_t c = cores[k];
-      const workload::BatchJob& job = jobs[k];
-      const double f = s.freq(c);
-      freq_sum += f;
-      problem.freq_current[i] = f;
-      problem.freq_min[i] = s.freq_min(c);
-      // A finished run-once job idles its core at the DVFS floor.
-      double f_max = job.completed() ? s.freq_min(c) : s.freq_max(c);
-      // Thermal guard: a core above its throttle point gets its ceiling
-      // pulled below the current frequency so it must cool off.
-      if (config_.thermal_guard && s.thermally_throttled(c)) {
-        f_max = std::max(s.freq_min(c),
-                         std::min(f_max, f - config_.thermal_backoff_per_period));
-      }
-      problem.freq_max[i] = f_max;
-      problem.penalty_weights[i] = std::max(job.penalty_weight(now_s), 1e-3);
+  const std::span<const std::uint32_t> cores = rack_.batch_ids();
+  const std::span<const workload::BatchJob> jobs = rack_.jobs();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t c = cores[i];
+    const workload::BatchJob& job = jobs[i];
+    const double f = rack_.freq(c);
+    freq_sum += f;
+    problem.freq_current[i] = f;
+    problem.freq_min[i] = rack_.freq_min(c);
+    // A finished run-once job idles its core at the DVFS floor.
+    double f_max = job.completed() ? rack_.freq_min(c) : rack_.freq_max(c);
+    // Thermal guard: a core above its throttle point gets its ceiling
+    // pulled below the current frequency so it must cool off.
+    if (config_.thermal_guard && rack_.thermally_throttled(c)) {
+      f_max = std::max(rack_.freq_min(c),
+                       std::min(f_max, f - config_.thermal_backoff_per_period));
     }
+    problem.freq_max[i] = f_max;
+    problem.penalty_weights[i] = std::max(job.penalty_weight(now_s), 1e-3);
   }
 
   // Adaptive gain: learn dP/df from (applied frequency move, observed
@@ -101,7 +96,7 @@ void ServerPowerController::update(double p_total_w, double p_batch_target_w,
   last_p_fb_w_ = p_fb;
 
   const double k = effective_gain_w_per_f();
-  for (i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     problem.gains_w_per_f[i] = k;
     problem.penalty_weights[i] =
         problem.penalty_weights[i] * penalty_scale_ * k * k;
@@ -164,7 +159,7 @@ void ServerPowerController::update_pid(double p_fb_w,
   const double span = std::max(1e-9, first.freq_max() - fmin);
 
   if (!pid_primed_) {
-    const double mean = mean_batch_freq();
+    const double mean = rack_.mean_batch_freq();
     pid_.preload_output(std::clamp((mean - fmin) / span, 0.0, 1.0));
     pid_primed_ = true;
   }
@@ -192,32 +187,20 @@ void ServerPowerController::reissue_last_command() {
 }
 
 void ServerPowerController::actuate_batch(const std::vector<double>& freq_next) {
-  std::size_t i = 0;
-  for (server::Server& s : rack_.servers()) {
-    for (const std::uint32_t c : s.batch_cores()) s.set_freq(c, freq_next[i++]);
+  const std::span<const std::uint32_t> cores = rack_.batch_ids();
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    rack_.set_freq(cores[i], freq_next[i]);
   }
-}
-
-double ServerPowerController::mean_batch_freq() const {
-  double sum = 0.0;
-  for (const server::Server& s : rack_.servers()) {
-    for (const std::uint32_t c : s.batch_cores()) sum += s.freq(c);
-  }
-  return sum / static_cast<double>(num_batch_);
 }
 
 void ServerPowerController::pin_interactive_at_peak() {
-  for (server::Server& s : rack_.servers()) {
-    for (const std::uint32_t c : s.interactive_cores()) {
-      s.set_freq(c, s.freq_max(c));
-    }
+  for (const std::uint32_t c : rack_.interactive_ids()) {
+    rack_.set_freq(c, rack_.freq_max(c));
   }
 }
 
 void ServerPowerController::force_batch_frequency(double freq) {
-  for (server::Server& s : rack_.servers()) {
-    for (const std::uint32_t c : s.batch_cores()) s.set_freq(c, freq);
-  }
+  for (const std::uint32_t c : rack_.batch_ids()) rack_.set_freq(c, freq);
   mpc_.reset();
   record_commanded_freq();
 }
@@ -228,32 +211,30 @@ void ServerPowerController::record_commanded_freq() {
   // that later diverges from this gauge (a stuck actuator overwriting the
   // command, for instance) is an actuation fault the HealthMonitor can
   // catch by comparing against the realized batch frequencies.
-  cmd_batch_freq_->set(mean_batch_freq());
+  cmd_batch_freq_->set(rack_.mean_batch_freq());
 }
 
 std::vector<BatchJobStatus> ServerPowerController::job_statuses(
     double now_s) const {
   std::vector<BatchJobStatus> out;
   out.reserve(num_batch_);
-  for (const server::Server& s : rack_.servers()) {
-    const std::span<const workload::BatchJob> jobs = s.jobs();
-    const std::span<const std::uint32_t> cores = s.batch_cores();
-    for (std::size_t k = 0; k < cores.size(); ++k) {
-      const workload::BatchJob& job = jobs[k];
-      BatchJobStatus status;
-      status.remaining_work_s = job.remaining_work_s();
-      status.time_left_s = std::max(0.0, job.deadline_s() - now_s);
-      status.compute_fraction = job.model().compute_fraction();
-      status.gain_w_per_f = effective_gain_w_per_f();
-      status.constant_w = model_.constant_w();
-      status.freq_min = s.freq_min(cores[k]);
-      status.freq_max = s.freq_max(cores[k]);
-      // Deadline pressure applies while the first execution is incomplete;
-      // later passes of a repeating trace are throughput work (the paper's
-      // 15-minute continuous traces) and never raise the P_batch floor.
-      status.active = !job.completed() && job.completions() == 0;
-      out.push_back(status);
-    }
+  const std::span<const std::uint32_t> cores = rack_.batch_ids();
+  const std::span<const workload::BatchJob> jobs = rack_.jobs();
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    const workload::BatchJob& job = jobs[i];
+    BatchJobStatus status;
+    status.remaining_work_s = job.remaining_work_s();
+    status.time_left_s = std::max(0.0, job.deadline_s() - now_s);
+    status.compute_fraction = job.model().compute_fraction();
+    status.gain_w_per_f = effective_gain_w_per_f();
+    status.constant_w = model_.constant_w();
+    status.freq_min = rack_.freq_min(cores[i]);
+    status.freq_max = rack_.freq_max(cores[i]);
+    // Deadline pressure applies while the first execution is incomplete;
+    // later passes of a repeating trace are throughput work (the paper's
+    // 15-minute continuous traces) and never raise the P_batch floor.
+    status.active = !job.completed() && job.completions() == 0;
+    out.push_back(status);
   }
   return out;
 }

@@ -86,8 +86,8 @@ class ServerPowerController {
 
  private:
   SprintConfig config_;
-  /// The controlled rack. Every period reads and writes its servers' core
-  /// arrays through their role spans, batch cores in batch_cores() order.
+  /// The controlled rack. Every period reads and writes its core table
+  /// through the rack-wide role spans, batch cores in batch_ids() order.
   server::Rack& rack_;
   std::size_t num_batch_;
   server::LinearPowerModel model_;
@@ -102,11 +102,9 @@ class ServerPowerController {
   void record_commanded_freq();
   /// Write freq_next[i] to the i-th batch core.
   void actuate_batch(const std::vector<double>& freq_next);
-  /// Mean frequency of the batch cores, summed in batch_cores() order.
-  double mean_batch_freq() const;
   /// The first batch core, whose DVFS range scales the PI fallback.
   server::CoreView first_batch_core() const {
-    return rack_.core(rack_.batch_cores().front());
+    return server::CoreView(rack_, rack_.batch_ids().front());
   }
   /// PI-fallback control period (replaces the MPC solve + actuation).
   void update_pid(double p_fb_w, double p_batch_target_w);

@@ -28,7 +28,7 @@ SprintConController::SprintConController(const SprintConfig& config,
       path_(path),
       allocator_(config),
       server_ctrl_(config, rack,
-                   server::LinearPowerModel(rack.servers().front().spec())),
+                   server::LinearPowerModel(rack.platform())),
       ups_ctrl_(config),
       safety_(config) {
   config.validate();
@@ -72,20 +72,18 @@ double SprintConController::bid_batch_budget_w(double budget_w,
   double batch_urgency = 0.0;
   std::size_t active_jobs = 0;
   double inter_idle_w = 0.0;
-  for (const server::Server& s : rack_.servers()) {
-    const std::span<const workload::BatchJob> jobs = s.jobs();
-    const std::span<const std::uint32_t> cores = s.batch_cores();
-    for (std::size_t k = 0; k < cores.size(); ++k) {
-      batch_idle_w += model.constant_w();
-      const workload::BatchJob& job = jobs[k];
-      if (job.completed()) continue;
-      batch_dyn_demand_w += model.gain_w_per_f() * s.freq_max(cores[k]);
-      batch_urgency += job.penalty_weight(now_s);
-      ++active_jobs;
-    }
-    for (std::size_t k = 0; k < s.interactive_cores().size(); ++k) {
-      inter_idle_w += model.constant_w();
-    }
+  const std::span<const workload::BatchJob> jobs = rack_.jobs();
+  const std::span<const std::uint32_t> batch = rack_.batch_ids();
+  for (std::size_t k = 0; k < batch.size(); ++k) {
+    batch_idle_w += model.constant_w();
+    const workload::BatchJob& job = jobs[k];
+    if (job.completed()) continue;
+    batch_dyn_demand_w += model.gain_w_per_f() * rack_.freq_max(batch[k]);
+    batch_urgency += job.penalty_weight(now_s);
+    ++active_jobs;
+  }
+  for (std::size_t k = 0; k < rack_.interactive_ids().size(); ++k) {
+    inter_idle_w += model.constant_w();
   }
   if (active_jobs > 0) batch_urgency /= static_cast<double>(active_jobs);
 
@@ -108,10 +106,8 @@ double SprintConController::bid_batch_budget_w(double budget_w,
   // cap conservative); the next period's feedback refines the cap.
   if (alloc[0] + 1e-9 < inter_dyn_w && inter_dyn_w > 0.0) {
     const double ratio = std::clamp(alloc[0] / inter_dyn_w, 0.0, 1.0);
-    for (server::Server& s : rack_.servers()) {
-      for (const std::uint32_t c : s.interactive_cores()) {
-        s.set_freq(c, std::max(s.freq_min(c), s.freq_max(c) * ratio));
-      }
+    for (const std::uint32_t c : rack_.interactive_ids()) {
+      rack_.set_freq(c, std::max(rack_.freq_min(c), rack_.freq_max(c) * ratio));
     }
   } else {
     server_ctrl_.pin_interactive_at_peak();
@@ -228,8 +224,8 @@ void SprintConController::step(const sim::SimClock& clock) {
     // DVFS floor (re-imposed every period so a wedged actuator cannot
     // creep it back up); no MPC, no bidding. The rig/facility layer
     // sheds or re-routes the interactive load.
-    const auto& refs = rack_.batch_cores();
-    server_ctrl_.force_batch_frequency(rack_.core(refs.front()).freq_min());
+    server_ctrl_.force_batch_frequency(
+        rack_.freq_min(rack_.batch_ids().front()));
     p_batch_eff_w_ = 0.0;
   } else if (control_tick) {
     double batch_target = std::min(targets.p_batch_w, p_cb_eff_w_);

@@ -23,10 +23,8 @@ std::size_t FaultInjector::active_count() const noexcept {
 }
 
 std::vector<double> FaultInjector::snapshot_freqs() const {
-  std::vector<double> out;
-  for (const server::Server& s : rack_.servers()) {
-    for (std::size_t c = 0; c < s.num_cores(); ++c) out.push_back(s.freq(c));
-  }
+  std::vector<double> out(rack_.num_cores());
+  for (std::size_t c = 0; c < out.size(); ++c) out[c] = rack_.freq(c);
   return out;
 }
 
@@ -178,11 +176,8 @@ void FaultInjector::post_tick(const sim::SimClock& clock) {
     if (spec.kind == FaultKind::kDvfsStuck) {
       // Latched actuator: re-impose the onset frequencies, discarding
       // whatever the controller just wrote.
-      std::size_t k = 0;
-      for (server::Server& s : rack_.servers()) {
-        for (std::size_t c = 0; c < s.num_cores(); ++c) {
-          s.set_freq(c, state.freqs[k++]);
-        }
+      for (std::size_t c = 0; c < state.freqs.size(); ++c) {
+        rack_.set_freq(c, state.freqs[c]);
       }
     } else if (spec.kind == FaultKind::kDvfsLag) {
       // First-order actuator lag toward the controller's latest write:
@@ -190,16 +185,12 @@ void FaultInjector::post_tick(const sim::SimClock& clock) {
       // value on ticks without a write — the filter is then a no-op in
       // the limit, which is exactly a settling actuator).
       const double alpha = dt / (spec.magnitude + dt);
-      std::size_t k = 0;
-      for (server::Server& s : rack_.servers()) {
-        for (std::size_t c = 0; c < s.num_cores(); ++c) {
-          const double desired = s.freq(c);
-          const double applied =
-              state.freqs[k] + alpha * (desired - state.freqs[k]);
-          s.set_freq(c, applied);
-          state.freqs[k] = applied;
-          ++k;
-        }
+      for (std::size_t c = 0; c < state.freqs.size(); ++c) {
+        const double desired = rack_.freq(c);
+        const double applied =
+            state.freqs[c] + alpha * (desired - state.freqs[c]);
+        rack_.set_freq(c, applied);
+        state.freqs[c] = applied;
       }
     }
   }

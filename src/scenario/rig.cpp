@@ -152,7 +152,7 @@ Rig::Rig(const RigConfig& config) : config_(config) {
   const auto spec_profiles = workload::spec2006_profiles();
 
   // --- build the rack -------------------------------------------------------
-  std::vector<server::Server> servers;
+  std::vector<server::ServerSpec> servers;
   servers.reserve(config.num_servers);
   std::size_t batch_index = 0;  // cycles through the SPEC profiles
   for (std::size_t s = 0; s < config.num_servers; ++s) {
@@ -189,14 +189,12 @@ Rig::Rig(const RigConfig& config) : config_(config) {
                                config.completion, master.split()));
       }
     }
-    servers.emplace_back(spec, std::move(cores), master.split());
+    servers.push_back({std::move(cores), master.split()});
   }
-  rack_ = std::make_unique<server::Rack>(std::move(servers));
-  for (server::Server& s : rack_->servers()) {
-    s.attach_thermal(config.thermal);
-    for (workload::RequestQueueSource& q : s.request_queues()) {
-      queues_.push_back(&q);
-    }
+  rack_ = std::make_unique<server::Rack>(spec, std::move(servers));
+  rack_->attach_thermal(config.thermal);
+  for (workload::RequestQueueSource& q : rack_->request_queues()) {
+    queues_.push_back(&q);
   }
 
   // --- power infrastructure --------------------------------------------------
@@ -418,11 +416,7 @@ void Rig::monitor(const sim::SimClock& clock) {
   }
   const double cmd = met_.cmd_batch_freq->value();
   if (cmd > 0.0) {
-    double sum = 0.0;
-    const auto& refs = rack_->batch_cores();
-    for (const auto& ref : refs) sum += rack_->core(ref).freq();
-    const double realized =
-        refs.empty() ? 0.0 : sum / static_cast<double>(refs.size());
+    const double realized = rack_->mean_batch_freq();
     if (met_.batch_freq == nullptr) {
       met_.batch_freq = &obs_->metrics().gauge("rig.batch_freq");
       met_.dvfs_divergence = &obs_->metrics().gauge("rig.dvfs_divergence");
@@ -486,10 +480,9 @@ metrics::RunSummary Rig::summary() const {
   out.cb_trips = path_->breaker().trip_count();
 
   out.deadline_s = config_.batch_deadline_s;
-  out.jobs_total = rack_->batch_cores().size();
+  out.jobs_total = rack_->jobs().size();
   double worst = 0.0;
-  for (const auto& ref : rack_->batch_cores()) {
-    const workload::BatchJob& job = *rack_->core(ref).job();
+  for (const workload::BatchJob& job : rack_->jobs()) {
     const bool done = job.completion_time_s() >= 0.0;
     if (done) {
       ++out.jobs_completed;
@@ -515,6 +508,10 @@ obs::RunReport Rig::report() const {
   out.label = to_string(config_.policy);
   out.summary = summary();
   out.metrics = obs_->metrics().snapshot();
+  // Plain rack counters, read here rather than mirrored every tick.
+  out.metrics.counters["workload.swell_evaluations"] =
+      rack_->swell_evaluations();
+  out.metrics.counters["workload.swell_reused"] = rack_->swell_reused();
   out.events = obs_->events().snapshot();
   out.dropped_count = obs_->events().dropped();
   return out;

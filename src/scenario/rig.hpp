@@ -205,12 +205,14 @@ class Rig {
     return recovery_.get();
   }
 
-  /// Full structured report: summary + metrics snapshot + event timeline.
-  /// Requires config.observability (throws InvalidStateError otherwise).
+  /// Full structured report: summary + metrics snapshot + event timeline,
+  /// plus the rack's swell counters (workload.swell_evaluations and
+  /// workload.swell_reused). Requires config.observability (throws
+  /// InvalidStateError otherwise).
   obs::RunReport report() const;
 
-  /// Request-queue sources when use_request_queues is set (the servers'
-  /// queue blocks own them; pointers stay valid for the rig's lifetime).
+  /// Request-queue sources when use_request_queues is set (the rack's
+  /// queue block owns them; pointers stay valid for the rig's lifetime).
   /// Empty otherwise.
   /// Non-const so the facility's re-route coordinator (and the rig's own
   /// quarantine shed) can scale the offered load.

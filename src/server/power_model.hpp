@@ -26,9 +26,9 @@ class MeasurementPowerModel {
   /// Dynamic power of one core at normalized frequency f, utilization u.
   double core_dynamic_w(double freq, double utilization) const;
 
-  /// core_dynamic_w() without the range checks, for the server's per-core
+  /// core_dynamic_w() without the range checks, for the rack's per-core
   /// loop: its frequencies were clamped into the core's validated DVFS
-  /// range by Server::set_freq and its utilizations clamped into [0, 1]
+  /// range by Rack::set_freq and its utilizations clamped into [0, 1]
   /// by the sources that wrote them.
   double core_dynamic_w_in_range(double freq,
                                  double utilization) const noexcept {

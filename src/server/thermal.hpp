@@ -7,10 +7,10 @@
 //
 //     dT/dt = (T_ss - T) / tau,   T_ss = T_ambient + R_th * P_core,
 //
-// which gives the exponential heat-up/cool-down of the real die. Server
+// which gives the exponential heat-up/cool-down of the real die. The rack
 // keeps every core's temperature in one array and advances them with a
-// single elementwise kernel (Server::attach_thermal). The server power
-// controller uses Server::thermally_throttled as a per-core guard: a core
+// single elementwise kernel (Rack::attach_thermal). The server power
+// controller uses Rack::thermally_throttled as a per-core guard: a core
 // that exceeds its throttle temperature has its frequency ceiling backed
 // off until it cools (Section V's Eq. 9 bounds become dynamic).
 //

@@ -8,8 +8,6 @@
 namespace sprintcon::workload {
 
 namespace {
-// Peak clock of the evaluation platform (2.0 GHz); counter synthesis only.
-constexpr double kPeakHz = 2.0e9;
 constexpr double kPhaseSigma = 0.03;
 }  // namespace
 
@@ -30,26 +28,11 @@ BatchJob::BatchJob(const BatchProfile& profile, double deadline_s,
   busy_ = busy_fraction();
 }
 
-PerfCounterSample BatchJob::advance(double dt_s, double freq, double now_s) {
+double BatchJob::advance(double dt_s, double freq, double now_s) {
   SPRINTCON_EXPECTS(dt_s > 0.0, "dt must be positive");
   SPRINTCON_EXPECTS(freq > 0.0 && freq <= 1.0 + 1e-9,
                     "normalized frequency must be in (0, 1]");
-
-  PerfCounterSample sample;
-  if (idle()) return sample;  // core idles; all counters zero
-
-  const double work_done = progress_by(dt_s, freq, now_s);
-
-  // Counter synthesis: the core is busy for the whole period while running;
-  // instructions retired scale with useful work, cache misses with the
-  // profile's MPKI.
-  sample.busy_fraction = utilization();
-  sample.cycles = freq * kPeakHz * dt_s * sample.busy_fraction;
-  // Nominal 1 IPC at peak for the compute part of the pipeline.
-  sample.instructions = work_done * kPeakHz * (1.0 + phase_noise_);
-  sample.cache_misses =
-      sample.instructions / 1000.0 * profile_.cache_mpki * (1.0 + phase_noise_);
-  return sample;
+  return run(dt_s, freq, now_s);
 }
 
 void BatchJob::next_phase() noexcept {

@@ -1,10 +1,9 @@
 // A running batch job instance pinned to one core.
 //
-// Tracks execution progress under time-varying DVFS, synthesizes the
-// performance-counter statistics (used cycles, cache misses) that the
-// paper's short-term profiling collects, and exposes the quantities the
-// SprintCon allocator and MPC penalty weighting need: progress, remaining
-// work, deadline slack, and the R weight of Section V-B.
+// Tracks execution progress under time-varying DVFS and exposes the
+// quantities the SprintCon allocator and MPC penalty weighting need:
+// progress, remaining work, deadline slack, and the R weight of
+// Section V-B.
 #pragma once
 
 #include <algorithm>
@@ -16,14 +15,6 @@
 #include "workload/progress_model.hpp"
 
 namespace sprintcon::workload {
-
-/// Synthesized performance-counter snapshot for one control period.
-struct PerfCounterSample {
-  double cycles = 0.0;        ///< CPU cycles consumed
-  double instructions = 0.0;  ///< instructions retired
-  double cache_misses = 0.0;  ///< LLC misses
-  double busy_fraction = 0.0; ///< fraction of the period the core was busy
-};
 
 /// Completion policy when a job finishes before the simulation ends.
 enum class CompletionMode {
@@ -50,15 +41,15 @@ class BatchJob {
   const ProgressModel& model() const noexcept { return model_; }
   CompletionMode mode() const noexcept { return mode_; }
 
-  /// Advance by dt at the given normalized frequency. Returns the
-  /// perf-counter sample for the interval.
-  PerfCounterSample advance(double dt_s, double freq, double now_s);
+  /// Advance by dt (> 0) at the given normalized frequency (in (0, 1])
+  /// and return the busy fraction of the interval (0 once a kRunOnce job
+  /// is done). Throws InvalidArgumentError on bad arguments.
+  double advance(double dt_s, double freq, double now_s);
 
-  /// advance() for the server's batch loop: the same job state change,
-  /// returning only the busy fraction (no counter synthesis). It does not
-  /// re-check its arguments: the server checks dt > 0 once per tick, and
-  /// `freq` is a core setting that Server::set_freq clamped into the
-  /// core's validated DVFS range (0, 1].
+  /// advance() for the rack's batch loop: the same job state change and
+  /// result, without re-checking its arguments: the rack checks dt > 0
+  /// once per tick, and `freq` is a core setting that Rack::set_freq
+  /// clamped into the core's validated DVFS range (0, 1].
   double run(double dt_s, double freq, double now_s) noexcept {
     if (idle()) return 0.0;
     progress_by(dt_s, freq, now_s);
@@ -125,22 +116,19 @@ class BatchJob {
   bool idle() const noexcept {
     return completed_ && mode_ == CompletionMode::kRunOnce;
   }
-  /// The state change shared by advance() and run(); returns the work
-  /// done in work-seconds. Requires !idle().
-  double progress_by(double dt_s, double freq, double now_s) noexcept {
-    // Slow phase modulation so the counter traces are not perfectly flat.
+  /// The state change of run(). Requires !idle().
+  void progress_by(double dt_s, double freq, double now_s) noexcept {
+    // Slow phase modulation so the utilization trace is not perfectly flat.
     phase_timer_s_ += dt_s;
     if (phase_timer_s_ >= kPhasePeriodS) next_phase();
     if (freq != step_freq_ || dt_s != step_dt_s_) {
       step_rate_ = model_.rate_in_range(freq);
-      step_work_ = step_rate_ * dt_s;
-      step_progress_ = step_work_ / work_total_s_;
+      step_progress_ = step_rate_ * dt_s / work_total_s_;
       step_freq_ = freq;
       step_dt_s_ = dt_s;
     }
     progress_ += step_progress_;
     if (progress_ >= 1.0) complete(step_rate_, dt_s, now_s);
-    return step_work_;
   }
   /// Draw the next phase perturbation (once per kPhasePeriodS).
   void next_phase() noexcept;
@@ -159,7 +147,7 @@ class BatchJob {
   bool completed_ = false;
   double work_total_s_;
   double progress_ = 0.0;
-  // Slow phase modulation of utilization/counter intensity.
+  // Slow phase modulation of utilization.
   double phase_timer_s_ = 0.0;
   double phase_noise_ = 0.0;
   double busy_ = 0.0;  ///< busy_fraction(), refreshed with phase_noise_
@@ -169,8 +157,7 @@ class BatchJob {
   double step_freq_ = -1.0;
   double step_dt_s_ = -1.0;
   double step_rate_ = 0.0;
-  double step_work_ = 0.0;      ///< step_rate_ * dt
-  double step_progress_ = 0.0;  ///< step_work_ / work_total_s_
+  double step_progress_ = 0.0;  ///< step_rate_ * dt / work_total_s_
   double deadline_s_;
   std::uint64_t completions_ = 0;
   double start_time_s_ = 0.0;

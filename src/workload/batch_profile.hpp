@@ -27,8 +27,6 @@ struct BatchProfile {
   double compute_fraction = 0.9;
   /// Core utilization while the job runs (batch jobs keep their core busy).
   double utilization = 0.95;
-  /// Last-level cache misses per kilo-instruction (trace realism only).
-  double cache_mpki = 1.0;
   /// Nominal work in seconds-at-peak-frequency for one execution.
   double nominal_work_s = 450.0;
 };

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
+#include <limits>
 
 #include "common/attributes.hpp"
 #include "common/validation.hpp"
@@ -74,19 +74,13 @@ double burst_base(const InteractiveTraceConfig& config, double now_s) {
   return base;
 }
 
-/// One core's utilization for the interval ending at trace time `now_s`:
-/// the slow swell, the AR(1) noise and the spike process on top of the
-/// shared base. Draw order per core: one normal, one bernoulli, and one
-/// uniform on a spike arrival.
+/// One core's utilization for the interval ending at the current trace
+/// time: the slow swell (computed by the caller), the AR(1) noise and the
+/// spike process on top of the shared base. Draw order per core: one
+/// normal, one bernoulli, and one uniform on a spike arrival.
 inline double trace_core_step(const InteractiveTraceConfig& config,
                               const TraceStepFactors& f, double base,
-                              double now_s, TraceCoreState& core) {
-  // Slow swell (minutes scale).
-  const double swell =
-      config.swell_amplitude *
-      std::sin(2.0 * std::numbers::pi * (now_s + core.phase_s) /
-               config.swell_period_s);
-
+                              double swell, TraceCoreState& core) {
   core.ar_state =
       f.noise_rho * core.ar_state + core.rng.normal(0.0, f.innovation_sigma);
 
@@ -108,6 +102,7 @@ InteractiveTraceGenerator::InteractiveTraceGenerator(
       core_{rng, phase_s},
       utilization_(config.idle_utilization) {
   config.validate();
+  SPRINTCON_EXPECTS(std::isfinite(phase_s), "swell phase must be finite");
 }
 
 double InteractiveTraceGenerator::step(double dt_s, double /*freq*/) {
@@ -115,8 +110,18 @@ double InteractiveTraceGenerator::step(double dt_s, double /*freq*/) {
   now_s_ += dt_s;
   factors_.refresh(config_, dt_s);
   utilization_ = trace_core_step(config_, factors_,
-                                 burst_base(config_, now_s_), now_s_, core_);
+                                 burst_base(config_, now_s_),
+                                 swell_at(config_, now_s_ + core_.phase_s),
+                                 core_);
   return utilization_;
+}
+
+void SwellMemo::allocate() {
+  // A NaN key never equals the bits of a finite-sum argument.
+  slots_.assign(kSlots,
+                {std::bit_cast<std::uint64_t>(
+                     std::numeric_limits<double>::quiet_NaN()),
+                 0.0});
 }
 
 InteractiveTraceBlock::InteractiveTraceBlock(
@@ -131,6 +136,7 @@ bool InteractiveTraceBlock::try_add(const InteractiveTraceGenerator& generator,
     return false;
   }
   members_.push_back({generator.core_, core});
+  if (members_.size() == 2) memo_.allocate();
   return true;
 }
 
@@ -140,10 +146,12 @@ SPRINTCON_HOT void InteractiveTraceBlock::step(double dt_s,
   // The per-block terms: every member has stepped the same dts since it
   // was built, so its trace time, base and factors are the block's.
   now_s_ += dt_s;
+  if (dt_s != factors_.dt_s) memo_.set_lattice(dt_s);
   factors_.refresh(config_, dt_s);
   const double base = burst_base(config_, now_s_);
   for (Member& m : members_) {
-    util[m.core] = trace_core_step(config_, factors_, base, now_s_, m.state);
+    const double swell = memo_.swell(config_, now_s_ + m.state.phase_s);
+    util[m.core] = trace_core_step(config_, factors_, base, swell, m.state);
   }
 }
 

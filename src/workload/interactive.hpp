@@ -12,11 +12,16 @@
 // utilization only (Eq. 5 of the paper).
 #pragma once
 
+#include <bit>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <numbers>
+#include <span>
 #include <vector>
 
+#include "common/attributes.hpp"
 #include "common/rng.hpp"
-#include "workload/utilization_source.hpp"
 
 namespace sprintcon::workload {
 
@@ -94,13 +99,14 @@ struct TraceCoreState {
 };
 
 /// Deterministic per-core interactive utilization generator. This is the
-/// scalar form; a Server steps its synthetic cores as an
-/// InteractiveTraceBlock, which produces bit-identical utilizations.
+/// scalar form; a Rack steps its synthetic cores as InteractiveTraceBlocks,
+/// which produce bit-identical utilizations.
 class InteractiveTraceGenerator {
  public:
   /// @param config   trace shape
   /// @param rng      private random stream (use Rng::split per core)
   /// @param phase_s  phase offset of the slow swell, decorrelating servers
+  ///                 (finite)
   InteractiveTraceGenerator(const InteractiveTraceConfig& config, Rng rng,
                             double phase_s = 0.0);
 
@@ -130,30 +136,108 @@ class InteractiveTraceGenerator {
   TraceStepFactors factors_;
 };
 
-/// The synthetic generators of one server's interactive cores, stepped as
-/// one block. Every member shares the config and the trace time, so the
-/// block computes the per-block terms once per tick — the trace time, the
-/// envelope mean and onset ramp, and the dt-keyed factors — and then runs
-/// one tight loop over the per-core states. Each core keeps its own Rng
-/// and draws in the same order as InteractiveTraceGenerator::step, and
-/// every expression is the scalar one, so the utilizations are
-/// bit-identical to stepping each generator on its own.
-class InteractiveTraceBlock final : public UtilizationSource {
+/// The slow swell A·sin(2π·x/P) at trace argument x = now + phase: the
+/// one expression both the scalar generator and the blocks evaluate.
+inline double swell_at(const InteractiveTraceConfig& config, double x) {
+  return config.swell_amplitude *
+         std::sin(2.0 * std::numbers::pi * x / config.swell_period_s);
+}
+
+/// Memo of one block's swells, keyed on the exact argument x.
+///
+/// The members of a block share the trace time and differ only in their
+/// phase, so on a dt lattice with lattice phases they revisit the same
+/// few arguments tick after tick (a canonical rack sees 1,104 distinct
+/// ones in 900 ticks of 64 members). A slot holds one (x, swell) pair and
+/// is chosen by x's position on the dt lattice, so any 256 consecutive
+/// lattice points have distinct slots. A hit requires x's bit pattern to
+/// equal the stored key — exactly the inputs the evaluation would see,
+/// so a reused swell is the evaluated one bit for bit (+0.0 and -0.0 are
+/// different keys; x is never NaN, as now and the phases are finite).
+/// Without a table (a one-member block) every swell is evaluated.
+class SwellMemo {
  public:
-  /// A block holding `first`, driving server core `core`; it takes
+  static constexpr std::size_t kSlots = 256;
+
+  /// Allocate the slot table (construction time; empty slots never hit).
+  void allocate();
+  /// Re-anchor the slot choice on a new dt.
+  void set_lattice(double dt_s) noexcept { inv_dt_ = 1.0 / dt_s; }
+
+  /// The swell at x: the stored value when x's slot holds x, else evaluated
+  /// (and stored, when there is a table).
+  SPRINTCON_HOT double swell(const InteractiveTraceConfig& config,
+                             double x) noexcept {
+    if (slots_.empty()) {
+      ++evaluations_;
+      return swell_at(config, x);
+    }
+    const auto key = std::bit_cast<std::uint64_t>(x);
+    Slot& slot = slots_[slot_of(x)];
+    if (slot.key == key) {
+      ++reused_;
+      return slot.value;
+    }
+    ++evaluations_;
+    slot.key = key;
+    slot.value = swell_at(config, x);
+    return slot.value;
+  }
+
+  /// Swells computed / served from the table so far.
+  std::uint64_t evaluations() const noexcept { return evaluations_; }
+  std::uint64_t reused() const noexcept { return reused_; }
+
+ private:
+  struct Slot {
+    std::uint64_t key;
+    double value;
+  };
+  /// x's lattice position round(x / dt) modulo kSlots. Positions beyond
+  /// ±2^62 (and a non-finite quotient) share slot 0, which keeps the
+  /// integer conversion defined for any x.
+  std::size_t slot_of(double x) const noexcept {
+    const double q = x * inv_dt_;
+    if (!(q > -0x1p62 && q < 0x1p62)) return 0;
+    const auto k = static_cast<std::int64_t>(q + std::copysign(0.5, q));
+    return static_cast<std::size_t>(static_cast<std::uint64_t>(k) &
+                                    (kSlots - 1));
+  }
+
+  std::vector<Slot> slots_;
+  double inv_dt_ = 1.0;
+  std::uint64_t evaluations_ = 0;
+  std::uint64_t reused_ = 0;
+};
+
+/// The synthetic generators of a rack's interactive cores that share a
+/// config and a trace time, stepped as one block. The block computes the
+/// per-block terms once per tick — the trace time, the envelope mean and
+/// onset ramp, and the dt-keyed factors — takes each member's swell from
+/// its SwellMemo, and runs one tight loop over the per-core states. Each
+/// core keeps its own Rng and draws in the same order as
+/// InteractiveTraceGenerator::step, and every expression is the scalar
+/// one, so the utilizations are bit-identical to stepping each generator
+/// on its own.
+class InteractiveTraceBlock {
+ public:
+  /// A block holding `first`, driving rack core `core`; it takes
   /// `first`'s config and trace time.
   InteractiveTraceBlock(const InteractiveTraceGenerator& first,
                         std::uint32_t core);
 
-  /// Append `generator`, driving server core `core`, if it has this
-  /// block's config and trace time (so its trace can be stepped with the
-  /// block's shared terms); returns false and changes nothing otherwise.
+  /// Append `generator`, driving rack core `core`, if it has this block's
+  /// config and trace time (so its trace can be stepped with the block's
+  /// shared terms); returns false and changes nothing otherwise. The
+  /// second member allocates the swell table.
   bool try_add(const InteractiveTraceGenerator& generator, std::uint32_t core);
   void reserve(std::size_t n) { members_.reserve(n); }
 
-  /// Hot path (SPRINTCON_HOT).
-  void step(double dt_s, std::span<const double> freq,
-            std::span<double> util) override;
+  /// Hot path (SPRINTCON_HOT). See utilization_source.hpp for the
+  /// block step contract.
+  void step(double dt_s, std::span<const double> freq, std::span<double> util);
+
+  const SwellMemo& memo() const noexcept { return memo_; }
 
  private:
   struct Member {
@@ -164,6 +248,7 @@ class InteractiveTraceBlock final : public UtilizationSource {
   InteractiveTraceConfig config_;
   double now_s_;
   TraceStepFactors factors_;
+  SwellMemo memo_;
   std::vector<Member> members_;
 };
 

@@ -27,7 +27,7 @@ class ProgressModel {
   /// Units: work-seconds completed per wall second.
   double rate(double freq) const;
   /// rate() for a frequency already known to be positive — a core setting
-  /// that Server::set_freq clamped into a validated DVFS range (0, 1].
+  /// that Rack::set_freq clamped into a validated DVFS range (0, 1].
   double rate_in_range(double freq) const noexcept {
     return 1.0 / (mu_ / freq + (1.0 - mu_));
   }

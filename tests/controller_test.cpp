@@ -17,13 +17,13 @@ namespace {
 using server::CoreSpec;
 using server::PlatformSpec;
 using server::Rack;
-using server::Server;
+using server::ServerSpec;
 
 std::unique_ptr<Rack> small_rack(std::size_t n_servers = 2,
                                  double deadline_s = 720.0) {
   const PlatformSpec spec = server::paper_platform();
   Rng rng(123);
-  std::vector<Server> servers;
+  std::vector<ServerSpec> servers;
   const auto profiles = workload::spec2006_profiles();
   std::size_t pi = 0;
   for (std::size_t s = 0; s < n_servers; ++s) {
@@ -41,9 +41,9 @@ std::unique_ptr<Rack> small_rack(std::size_t n_servers = 2,
                                             rng.split())});
       }
     }
-    servers.emplace_back(spec, std::move(cores), rng.split());
+    servers.push_back({std::move(cores), rng.split()});
   }
-  return std::make_unique<Rack>(std::move(servers));
+  return std::make_unique<Rack>(spec, std::move(servers));
 }
 
 SprintConfig cfg() { return paper_config(); }
@@ -126,8 +126,8 @@ TEST(ServerController, UrgentJobGetsMoreFrequency) {
   // Run server 1's batch cores at peak to finish them early; keep server 0
   // at the floor.
   for (const auto& ref : rack->batch_cores()) {
-    rack->servers()[ref.server].set_freq(ref.core,
-                                         ref.server == 1 ? 1.0 : 0.2);
+    rack->set_freq(rack->core_id(ref.server, ref.core),
+                   ref.server == 1 ? 1.0 : 0.2);
   }
   for (int i = 0; i < 420; ++i) {
     rack->step(clock);
@@ -164,7 +164,7 @@ TEST(ServerController, CompletedJobsIdleTheirCores) {
   sim::SimClock clock(1.0);
   // Run everything at peak until all jobs complete.
   for (const auto& ref : rack->batch_cores()) {
-    rack->servers()[ref.server].set_freq(ref.core, 1.0);
+    rack->set_freq(rack->core_id(ref.server, ref.core), 1.0);
   }
   for (int i = 0; i < 600; ++i) {
     rack->step(clock);

@@ -1,5 +1,5 @@
 // Scalar first-order thermal model of one core: the reference the
-// server's elementwise thermal kernel (Server::attach_thermal) is checked
+// rack's elementwise thermal kernel (Rack::attach_thermal) is checked
 // against bit for bit. The kernel runs the same update with the same
 // cached coefficient, one array slot per core.
 #pragma once

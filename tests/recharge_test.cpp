@@ -101,11 +101,12 @@ TEST(DedicatedServers, SplitsTheRackByServer) {
   cfg.dedicated_servers = true;
   Rig rig(cfg);
   // First half of the servers: all interactive; second half: all batch.
-  const auto& servers = rig.rack().servers();
-  EXPECT_EQ(servers[0].batch_cores().size(), 0u);
-  EXPECT_EQ(servers[0].interactive_cores().size(), 8u);
-  EXPECT_EQ(servers.back().batch_cores().size(), 8u);
-  EXPECT_EQ(servers.back().interactive_cores().size(), 0u);
+  const server::Rack& rack = rig.rack();
+  const std::size_t last = rack.num_servers() - 1;
+  EXPECT_EQ(rack.batch_ids(0).size(), 0u);
+  EXPECT_EQ(rack.interactive_ids(0).size(), 8u);
+  EXPECT_EQ(rack.batch_ids(last).size(), 8u);
+  EXPECT_EQ(rack.interactive_ids(last).size(), 0u);
   // Same class totals as the colocated default (4 servers x 8 cores).
   EXPECT_EQ(rig.rack().batch_cores().size(), 16u);
 }

@@ -31,7 +31,7 @@ TEST(Rig, BuildsPaperTopology) {
   RigConfig cfg;  // defaults: 16 servers, 4+4 cores
   cfg.duration_s = 5.0;
   Rig rig(cfg);
-  EXPECT_EQ(rig.rack().servers().size(), 16u);
+  EXPECT_EQ(rig.rack().num_servers(), 16u);
   EXPECT_EQ(rig.rack().batch_cores().size(), 64u);
   EXPECT_DOUBLE_EQ(rig.power_path().battery().capacity_wh(), 400.0);
   EXPECT_DOUBLE_EQ(rig.power_path().breaker().rated_power_w(), 3200.0);
@@ -129,6 +129,20 @@ TEST(Rig, MonitoringNeverTouchesPhysics) {
           << c.label << " " << name;
     }
   }
+}
+
+TEST(Rig, ReportCountsSwellEvaluationsAndReuses) {
+  // The canonical rack's 64 synthetic cores share one trace block, whose
+  // 900 ticks see 1,104 distinct swell arguments: each is evaluated once
+  // and every other swell is a memo reuse.
+  RigConfig config;
+  config.observability = true;
+  Rig rig(config);
+  rig.run();
+  const obs::RunReport report = rig.report();
+  EXPECT_EQ(report.metrics.counters.at("workload.swell_evaluations"), 1104u);
+  EXPECT_EQ(report.metrics.counters.at("workload.swell_reused"),
+            64u * 900u - 1104u);
 }
 
 TEST(Rig, RunIsIdempotent) {

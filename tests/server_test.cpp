@@ -2,8 +2,11 @@
 // fans, cores, servers, rack aggregation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -33,7 +36,7 @@ CoreSpec make_batch(const PlatformSpec& spec, std::uint64_t seed = 2,
 }
 
 /// Cores [0, interactive) are interactive, the rest batch.
-Server make_server(const PlatformSpec& spec, std::size_t interactive = 4) {
+ServerSpec make_server(const PlatformSpec& spec, std::size_t interactive = 4) {
   std::vector<CoreSpec> cores;
   for (std::size_t c = 0; c < spec.cores_per_server; ++c) {
     if (c < interactive) {
@@ -42,7 +45,18 @@ Server make_server(const PlatformSpec& spec, std::size_t interactive = 4) {
       cores.push_back(make_batch(spec, 20 + c));
     }
   }
-  return Server(spec, std::move(cores), Rng(77));
+  return {std::move(cores), Rng(77)};
+}
+
+/// A rack of `n_servers` make_server servers; on a one-server rack the
+/// rack core ids are the server's core indices.
+Rack make_rack(std::size_t n_servers = 4, std::size_t interactive = 4) {
+  const PlatformSpec spec = paper_platform();
+  std::vector<ServerSpec> servers;
+  for (std::size_t s = 0; s < n_servers; ++s) {
+    servers.push_back(make_server(spec, interactive));
+  }
+  return Rack(spec, std::move(servers));
 }
 
 // --- platform ----------------------------------------------------------------
@@ -164,41 +178,40 @@ TEST(Fan, BoundedByPeak) {
 
 TEST(Core, FrequencyClampsToBounds) {
   const PlatformSpec spec = paper_platform();
-  Server server = make_server(spec);
-  const std::size_t batch = server.batch_cores().front();
-  server.set_freq(batch, 5.0);
-  EXPECT_DOUBLE_EQ(server.freq(batch), spec.freq_max);
-  server.set_freq(batch, 0.01);
-  EXPECT_DOUBLE_EQ(server.freq(batch), spec.freq_min);
+  Rack rack = make_rack(1);
+  const std::size_t batch = rack.batch_ids().front();
+  rack.set_freq(batch, 5.0);
+  EXPECT_DOUBLE_EQ(rack.freq(batch), spec.freq_max);
+  rack.set_freq(batch, 0.01);
+  EXPECT_DOUBLE_EQ(rack.freq(batch), spec.freq_min);
   // The clamp cannot bound a NaN, so the write itself is refused.
-  EXPECT_THROW(server.set_freq(batch, std::nan("")),
+  EXPECT_THROW(rack.set_freq(batch, std::nan("")),
                sprintcon::InvalidArgumentError);
-  EXPECT_DOUBLE_EQ(server.freq(batch), spec.freq_min);
+  EXPECT_DOUBLE_EQ(rack.freq(batch), spec.freq_min);
 }
 
 TEST(Core, InteractiveStartsAtPeakBatchAtFloor) {
   const PlatformSpec spec = paper_platform();
-  const Server server = make_server(spec);
-  for (const std::uint32_t c : server.interactive_cores()) {
-    EXPECT_DOUBLE_EQ(server.freq(c), spec.freq_max);
+  const Rack rack = make_rack(1);
+  for (const std::uint32_t c : rack.interactive_ids()) {
+    EXPECT_DOUBLE_EQ(rack.freq(c), spec.freq_max);
   }
-  for (const std::uint32_t c : server.batch_cores()) {
-    EXPECT_DOUBLE_EQ(server.freq(c), spec.freq_min);
+  for (const std::uint32_t c : rack.batch_ids()) {
+    EXPECT_DOUBLE_EQ(rack.freq(c), spec.freq_min);
   }
 }
 
 TEST(Core, StepUpdatesUtilizationByRole) {
-  const PlatformSpec spec = paper_platform();
-  Server server = make_server(spec);
-  const std::size_t inter = server.interactive_cores().front();
-  const std::size_t batch = server.batch_cores().front();
-  server.set_freq(batch, 1.0);
-  server.step(1.0, 0.0);
-  EXPECT_GT(server.utilization(inter), 0.0);
-  EXPECT_EQ(server.job(inter), nullptr);
-  EXPECT_GT(server.utilization(batch), 0.8);
-  ASSERT_NE(server.job(batch), nullptr);
-  EXPECT_GT(server.job(batch)->progress(), 0.0);
+  Rack rack = make_rack(1);
+  const std::size_t inter = rack.interactive_ids().front();
+  const std::size_t batch = rack.batch_ids().front();
+  rack.set_freq(batch, 1.0);
+  rack.step(1.0, 0.0);
+  EXPECT_GT(rack.utilization(inter), 0.0);
+  EXPECT_EQ(rack.job(inter), nullptr);
+  EXPECT_GT(rack.utilization(batch), 0.8);
+  ASSERT_NE(rack.job(batch), nullptr);
+  EXPECT_GT(rack.job(batch)->progress(), 0.0);
 }
 
 TEST(Core, BoundsAreValidatedOnInstall) {
@@ -211,7 +224,9 @@ TEST(Core, BoundsAreValidatedOnInstall) {
     }
     cores.front().freq_min = lo;
     cores.front().freq_max = hi;
-    EXPECT_THROW(Server(spec, std::move(cores), Rng(1)),
+    std::vector<ServerSpec> servers;
+    servers.push_back({std::move(cores), Rng(1)});
+    EXPECT_THROW(Rack(spec, std::move(servers)),
                  sprintcon::InvalidArgumentError);
   }
 }
@@ -220,79 +235,65 @@ TEST(Core, BoundsAreValidatedOnInstall) {
 
 TEST(Server, PowerBetweenIdleAndPeak) {
   const PlatformSpec spec = paper_platform();
-  Server server = make_server(spec);
-  for (int i = 0; i < 30; ++i) server.step(1.0, i);
-  EXPECT_GT(server.power_w(), spec.idle_power_w);
-  EXPECT_LT(server.power_w(), spec.peak_power_w + 1.0);
+  Rack rack = make_rack(1);
+  for (int i = 0; i < 30; ++i) rack.step(1.0, i);
+  EXPECT_GT(rack.server_power_w(0), spec.idle_power_w);
+  EXPECT_LT(rack.server_power_w(0), spec.peak_power_w + 1.0);
 }
 
 TEST(Server, PowerSplitsByClass) {
   const PlatformSpec spec = paper_platform();
-  Server server = make_server(spec);
-  server.step(1.0, 0.0);
+  Rack rack = make_rack(1);
+  rack.step(1.0, 0.0);
   double inter = 0.0, batch = 0.0;
-  for (const std::uint32_t c : server.interactive_cores()) {
-    inter += server.dynamic_w(c);
+  for (const std::uint32_t c : rack.interactive_ids(0)) {
+    inter += rack.dynamic_w(c);
   }
-  for (const std::uint32_t c : server.batch_cores()) {
-    batch += server.dynamic_w(c);
-  }
+  for (const std::uint32_t c : rack.batch_ids(0)) batch += rack.dynamic_w(c);
   EXPECT_GT(inter, 0.0);
   EXPECT_GT(batch, 0.0);
-  EXPECT_GE(server.fan_power_w(), 0.0);
-  EXPECT_DOUBLE_EQ(server.power_w(),
-                   spec.idle_power_w + (inter + batch) + server.fan_power_w());
+  EXPECT_GE(rack.fan_power_w(0), 0.0);
+  EXPECT_DOUBLE_EQ(rack.server_power_w(0), spec.idle_power_w + (inter + batch) +
+                                               rack.fan_power_w(0));
 }
 
 TEST(Server, StepRejectsNonPositiveDt) {
-  Server server = make_server(paper_platform());
-  EXPECT_THROW(server.step(0.0, 0.0), sprintcon::InvalidArgumentError);
-  EXPECT_THROW(server.step(-1.0, 0.0), sprintcon::InvalidArgumentError);
+  Rack rack = make_rack(1);
+  EXPECT_THROW(rack.step(0.0, 0.0), sprintcon::InvalidArgumentError);
+  EXPECT_THROW(rack.step(-1.0, 0.0), sprintcon::InvalidArgumentError);
 }
 
 TEST(Server, PoweredOffConsumesNothingAndHaltsProgress) {
-  const PlatformSpec spec = paper_platform();
-  std::vector<Server> servers;
-  servers.push_back(make_server(spec));
-  Rack rack(std::move(servers));
-  Server& server = rack.servers().front();
-  server.step(1.0, 0.0);
-  const double progress = server.job(7)->progress();
-  server.set_powered(false);
-  server.step(1.0, 1.0);
-  EXPECT_DOUBLE_EQ(server.power_w(), 0.0);
+  Rack rack = make_rack(1);
+  rack.step(1.0, 0.0);
+  const double progress = rack.job(7)->progress();
+  rack.set_all_powered(false);
+  rack.step(1.0, 1.0);
+  EXPECT_DOUBLE_EQ(rack.server_power_w(0), 0.0);
   // The frequency metric sees a dark server at 0 (the Fig. 5(b) collapse).
   EXPECT_DOUBLE_EQ(rack.telemetry().freq_batch, 0.0);
-  EXPECT_DOUBLE_EQ(server.job(7)->progress(), progress);
+  EXPECT_DOUBLE_EQ(rack.job(7)->progress(), progress);
 }
 
 TEST(Server, WrongCoreCountThrows) {
   const PlatformSpec spec = paper_platform();
   std::vector<CoreSpec> cores;
   cores.push_back(make_interactive(spec));
-  EXPECT_THROW(Server(spec, std::move(cores), Rng(1)),
-               sprintcon::InvalidArgumentError);
+  std::vector<ServerSpec> servers;
+  servers.push_back({std::move(cores), Rng(1)});
+  EXPECT_THROW(Rack(spec, std::move(servers)), sprintcon::InvalidArgumentError);
 }
 
 TEST(Server, CountsRoles) {
-  const PlatformSpec spec = paper_platform();
-  Server server = make_server(spec, 3);
-  EXPECT_EQ(server.interactive_cores().size(), 3u);
-  EXPECT_EQ(server.batch_cores().size(), 5u);
-  for (const std::uint32_t c : server.batch_cores()) {
-    EXPECT_TRUE(server.is_batch(c));
+  const Rack rack = make_rack(1, 3);
+  EXPECT_EQ(rack.interactive_ids(0).size(), 3u);
+  EXPECT_EQ(rack.batch_ids(0).size(), 5u);
+  for (const std::uint32_t c : rack.batch_ids(0)) {
+    EXPECT_TRUE(rack.is_batch(c));
   }
 }
 
 // --- rack -------------------------------------------------------------------
-
-Rack make_rack(std::size_t n_servers = 4) {
-  const PlatformSpec spec = paper_platform();
-  std::vector<Server> servers;
-  for (std::size_t s = 0; s < n_servers; ++s)
-    servers.push_back(make_server(spec));
-  return Rack(std::move(servers));
-}
 
 TEST(Rack, AggregatesPower) {
   Rack rack = make_rack(4);
@@ -318,20 +319,22 @@ TEST(Rack, MeanFreqByRole) {
 
 TEST(Rack, RoleSpansSetFreqByRole) {
   Rack rack = make_rack(2);
-  for (Server& s : rack.servers()) {
-    for (const std::uint32_t c : s.batch_cores()) s.set_freq(c, 0.7);
-  }
+  for (const std::uint32_t c : rack.batch_ids()) rack.set_freq(c, 0.7);
   EXPECT_NEAR(rack.telemetry().freq_batch, 0.7, 1e-12);
   EXPECT_DOUBLE_EQ(rack.telemetry().freq_interactive, 1.0);
+  EXPECT_NEAR(rack.mean_batch_freq(), 0.7, 1e-12);
 }
 
 TEST(Rack, PowerOffAll) {
   Rack rack = make_rack(2);
   rack.set_all_powered(false);
-  for (const Server& s : rack.servers()) EXPECT_FALSE(s.powered());
+  EXPECT_FALSE(rack.powered());
   sim::SimClock clock(1.0);
   rack.step(clock);
   EXPECT_DOUBLE_EQ(rack.total_power_w(), 0.0);
+  for (std::size_t s = 0; s < rack.num_servers(); ++s) {
+    EXPECT_DOUBLE_EQ(rack.server_power_w(s), 0.0);
+  }
 }
 
 TEST(Rack, InvalidRefThrows) {
@@ -341,7 +344,29 @@ TEST(Rack, InvalidRefThrows) {
 }
 
 TEST(Rack, EmptyRackThrows) {
-  EXPECT_THROW(Rack(std::vector<Server>{}), sprintcon::InvalidArgumentError);
+  EXPECT_THROW(Rack(paper_platform(), std::vector<ServerSpec>{}),
+               sprintcon::InvalidArgumentError);
+}
+
+TEST(Rack, TelemetryReadsSubZeroTemperatures) {
+  // A sub-zero ambient is a valid ThermalSpec; the hottest core must be a
+  // real core temperature, not a 0 °C floor.
+  Rack rack = make_rack(2);
+  ThermalSpec cold;
+  cold.ambient_c = -20.0;
+  rack.attach_thermal(cold);
+  EXPECT_DOUBLE_EQ(rack.telemetry().core_temp_max_c, -20.0);
+  rack.set_all_powered(false);  // dark: the cores stay at ambient
+  for (int t = 0; t < 5; ++t) rack.step(1.0, t);
+  EXPECT_DOUBLE_EQ(rack.telemetry().core_temp_max_c, -20.0);
+  rack.set_all_powered(true);
+  rack.step(1.0, 5.0);
+  double hottest = rack.temperature_c(0);
+  for (std::size_t c = 0; c < rack.num_cores(); ++c) {
+    hottest = std::max(hottest, rack.temperature_c(c));
+  }
+  EXPECT_LT(hottest, 0.0);
+  EXPECT_DOUBLE_EQ(rack.telemetry().core_temp_max_c, hottest);
 }
 
 }  // namespace

@@ -84,7 +84,7 @@ TEST(Thermal, StepInputValidation) {
   EXPECT_THROW(model.step(1.0, 0.0), sprintcon::InvalidArgumentError);
 }
 
-// --- integration with Server / controller -----------------------------------
+// --- integration with Rack / controller -----------------------------------
 
 std::unique_ptr<Rack> hot_rack() {
   // One server, degraded cooling on the batch cores.
@@ -104,12 +104,12 @@ std::unique_ptr<Rack> hot_rack() {
                                           rng.split())});
     }
   }
-  std::vector<Server> servers;
-  servers.emplace_back(spec, std::move(cores), rng.split());
-  auto rack = std::make_unique<Rack>(std::move(servers));
+  std::vector<ServerSpec> servers;
+  servers.push_back({std::move(cores), rng.split()});
+  auto rack = std::make_unique<Rack>(spec, std::move(servers));
   ThermalSpec hot;
   hot.resistance_c_per_w = 4.0;  // degraded cooling
-  for (Server& s : rack->servers()) s.attach_thermal(hot);
+  rack->attach_thermal(hot);
   return rack;
 }
 
@@ -162,7 +162,7 @@ TEST(ThermalGuard, DisabledGuardLetsCoresOverheat) {
 }
 
 TEST(ThermalGuard, CoreWithoutModelNeverThrottles) {
-  // A server without attach_thermal reports ambient and never throttles,
+  // A rack without attach_thermal reports ambient and never throttles,
   // however hard its cores run.
   const PlatformSpec spec = paper_platform();
   std::vector<CoreSpec> cores;
@@ -173,12 +173,14 @@ TEST(ThermalGuard, CoreWithoutModelNeverThrottles) {
                                         workload::CompletionMode::kRunOnce,
                                         Rng(1 + c))});
   }
-  Server server(spec, std::move(cores), Rng(2));
-  for (std::size_t c = 0; c < server.num_cores(); ++c) server.set_freq(c, 1.0);
-  for (int t = 0; t < 60; ++t) server.step(1.0, t);
-  for (std::size_t c = 0; c < server.num_cores(); ++c) {
-    EXPECT_FALSE(server.thermally_throttled(c));
-    EXPECT_DOUBLE_EQ(server.temperature_c(c), ThermalSpec{}.ambient_c);
+  std::vector<ServerSpec> servers;
+  servers.push_back({std::move(cores), Rng(2)});
+  Rack rack(spec, std::move(servers));
+  for (std::size_t c = 0; c < rack.num_cores(); ++c) rack.set_freq(c, 1.0);
+  for (int t = 0; t < 60; ++t) rack.step(1.0, t);
+  for (std::size_t c = 0; c < rack.num_cores(); ++c) {
+    EXPECT_FALSE(rack.thermally_throttled(c));
+    EXPECT_DOUBLE_EQ(rack.temperature_c(c), ThermalSpec{}.ambient_c);
   }
 }
 

@@ -143,8 +143,7 @@ TEST(BatchJob, CompletesAndRecordsTime) {
   EXPECT_NEAR(job.completion_time_s(), 50.0, 1.1);
   EXPECT_EQ(job.completions(), 1u);
   // After completion a run-once job consumes nothing.
-  const auto sample = job.advance(1.0, 1.0, now);
-  EXPECT_DOUBLE_EQ(sample.cycles, 0.0);
+  EXPECT_DOUBLE_EQ(job.advance(1.0, 1.0, now), 0.0);
   EXPECT_DOUBLE_EQ(job.utilization(), 0.0);
 }
 
@@ -168,16 +167,6 @@ TEST(BatchJob, LowerFrequencySlowsProgress) {
     slow.advance(1.0, 0.3, i);
   }
   EXPECT_GT(fast.progress(), slow.progress());
-}
-
-TEST(BatchJob, CountersScaleWithFrequencyAndWork) {
-  BatchJob job = make_job();
-  const auto fast = job.advance(1.0, 1.0, 0.0);
-  BatchJob job2 = make_job();
-  const auto slow = job2.advance(1.0, 0.5, 0.0);
-  EXPECT_GT(fast.cycles, slow.cycles);
-  EXPECT_GT(fast.instructions, slow.instructions);
-  EXPECT_GT(fast.cache_misses, 0.0);
 }
 
 TEST(BatchJob, PenaltyWeightMatchesPaperExample) {
